@@ -46,7 +46,7 @@
 //! records which commit those totals came from.
 
 use census_synth::{generate_series, SimConfig};
-use linkage_core::{link_traced, LinkageConfig, ScoringKernel};
+use linkage_core::{link_traced, LinkageConfig};
 use obs::{Collector, DecisionConfig, RunTrace, TruthConfig};
 use serde_json::{json, Value};
 use std::time::Instant;
@@ -141,9 +141,9 @@ fn keep_best(best: &mut Option<Measurement>, m: Measurement) {
 /// telemetry. The six rungs are sampled *interleaved* — disabled,
 /// enabled, +decisions, +timeline, +mem, +quality, repeat — so their
 /// best-of minima come from the same machine-state window and host
-/// noise cancels out of the overhead percentages (the same discipline
-/// as the kernel rung; sequential best-of blocks on a busy host can
-/// swing a sub-1% overhead by tens of percent in either direction).
+/// noise cancels out of the overhead percentages (sequential best-of
+/// blocks on a busy host can swing a sub-1% overhead by tens of percent
+/// in either direction).
 fn obs_overhead_json(
     iters: usize,
     old: &census_model::CensusDataset,
@@ -392,73 +392,6 @@ fn quality_json(trace: &RunTrace) -> Value {
     })
 }
 
-/// Prematch phase time of a measurement (0 if the phase is missing).
-fn prematch_us(m: &Measurement) -> u64 {
-    m.phases
-        .iter()
-        .find(|(name, _)| name == "prematch")
-        .map_or(0, |(_, us)| *us)
-}
-
-/// The kernel microbench rung: the batch scoring kernel against the
-/// scalar one on the same driver and shard settings, compared on the
-/// prematch phase the kernels live in and normalised to ns per scored
-/// pair. The two kernels are sampled *interleaved* — scalar, batch,
-/// scalar, batch, … — so their best-of minima come from the same
-/// machine-state window and host noise cancels out of the ratio;
-/// `default_run` only supplies the link-count cross-check and the
-/// dedup counters, which are load-independent.
-fn kernel_json(
-    iters: usize,
-    old: &census_model::CensusDataset,
-    new: &census_model::CensusDataset,
-    batch_config: &LinkageConfig,
-    default_run: &Measurement,
-) -> Value {
-    let scalar_config = LinkageConfig {
-        scoring: ScoringKernel::Scalar,
-        ..batch_config.clone()
-    };
-    let (mut scalar_us, mut batch_us) = (u64::MAX, u64::MAX);
-    let mut scalar = None;
-    for _ in 0..iters.max(1) {
-        let s = measure(old, new, &scalar_config);
-        let b = measure(old, new, batch_config);
-        assert_eq!(
-            s.record_links, b.record_links,
-            "scoring kernels must produce identical link counts"
-        );
-        assert_eq!(b.record_links, default_run.record_links);
-        batch_us = batch_us.min(prematch_us(&b));
-        if prematch_us(&s) < scalar_us {
-            scalar_us = prematch_us(&s);
-            scalar = Some(s);
-        }
-    }
-    let scalar = scalar.expect("at least one kernel iteration");
-    let batch = default_run;
-    let ns_per_pair = |us: u64, pairs: u64| us as f64 * 1000.0 / pairs.max(1) as f64;
-    let batch_ns = ns_per_pair(batch_us, batch.pairs_scored);
-    let scalar_ns = ns_per_pair(scalar_us, scalar.pairs_scored);
-    let speedup = scalar_us as f64 / batch_us.max(1) as f64;
-    let dedup = batch.trace.batch_dedup_rate();
-    eprintln!(
-        "  kernel: scalar prematch {:.1} ms ({scalar_ns:.0} ns/pair), batch {:.1} ms \
-         ({batch_ns:.0} ns/pair), {speedup:.2}x, dedup {:.1}%",
-        scalar_us as f64 / 1000.0,
-        batch_us as f64 / 1000.0,
-        dedup * 100.0,
-    );
-    json!({
-        "scalar_prematch_us": (scalar_us),
-        "batch_prematch_us": (batch_us),
-        "scalar_ns_per_pair": (scalar_ns),
-        "batch_ns_per_pair": (batch_ns),
-        "prematch_speedup": (speedup),
-        "batch_dedup_rate": (dedup)
-    })
-}
-
 fn mode_json(m: &Measurement) -> Value {
     json!({
         "total_us": (m.total_us),
@@ -509,7 +442,7 @@ fn main() {
         .unwrap_or_default();
     let before_ref = parse_flag(&mut args, "--before-ref");
     // skip the single-shard driver (and everything measured against it:
-    // recompute, kernel and obs ladders) — on small hosts the XL scale's
+    // recompute and obs ladders) — on small hosts the XL scale's
     // single-shard rung alone runs for tens of minutes, while the
     // sharded headline and its timeline/memory analytics stay tractable
     let skip_single = if let Some(pos) = args.iter().position(|a| a == "--skip-single") {
@@ -570,8 +503,8 @@ fn main() {
         // the drivers are sampled interleaved — single-shard, sharded,
         // recompute, repeat — so their best-of minima come from the
         // same machine-state window and host noise cancels out of the
-        // speedup ratios (the same discipline as the kernel and
-        // obs-overhead rungs)
+        // speedup ratios (the same discipline as the obs-overhead
+        // rung)
         let full = scale.full_ladder && !skip_single;
         let mut incremental: Option<Measurement> = None;
         let mut sharded: Option<Measurement> = None;
@@ -647,10 +580,6 @@ fn main() {
             if let Value::Map(entries) = &mut row {
                 entries.push((Value::Str("recompute".into()), mode_json(recompute)));
                 entries.push((Value::Str("speedup".into()), Value::F64(speedup)));
-                entries.push((
-                    Value::Str("kernel".into()),
-                    kernel_json(iters, old, new, &incremental_config, incremental),
-                ));
                 entries.push((
                     Value::Str("obs_overhead".into()),
                     obs_overhead_json(iters, old, new, &incremental_config, &truth_config),

@@ -7,13 +7,12 @@
 //! census-linkage stats FILE.csv --year YEAR
 //! census-linkage link OLD.csv NEW.csv --old-year Y --new-year Y --out DIR
 //!                [--threads N] [--shards N] [--parallel-cutoff N] [--delta-low D]
-//!                [--scoring scalar|batch] [--mem-budget BYTES]
+//!                [--mem-budget BYTES]
 //!                [--trace-out FILE.json] [--timeline-out FILE.json] [--trace-mem]
 //!                [--decisions-out DIR] [--truth DIR|PREFIX] [--progress] [--verbose]
 //! census-linkage evolve FILE.csv... --start-year Y [--interval N] [--out DIR]
 //!                [--threads N] [--shards N] [--parallel-cutoff N] [--delta-low D]
-//!                [--scoring scalar|batch] [--mem-budget BYTES]
-//!                [--trace-out FILE.json] [--verbose]
+//!                [--mem-budget BYTES] [--trace-out FILE.json] [--verbose]
 //! census-linkage trace-check FILE.json
 //! census-linkage trace-diff OLD.json NEW.json [--fail-on SPEC]...
 //! census-linkage timeline TRACE.json [--min-utilization PCT]
@@ -36,7 +35,7 @@ use census_model::csv::{
 use census_model::{CensusDataset, GroupMapping, RecordMapping};
 use census_synth::{generate_series, SimConfig};
 use evolution::{detect_patterns, largest_component, preserve_chain_counts, EvolutionGraph};
-use linkage_core::{link_traced, LinkageConfig, MemGovernor, ScoringKernel};
+use linkage_core::{link_traced, LinkageConfig, MemGovernor};
 use obs::diff::{compare, Threshold};
 use obs::{
     Collector, Counter, DecisionConfig, DecisionRecord, MultiTrace, Progress, RunTrace, TraceSink,
@@ -66,11 +65,6 @@ pub struct LinkOptions {
     /// Minimum work items before scoring fans out (`--parallel-cutoff`);
     /// `0` forces the parallel path even on tiny inputs.
     pub parallel_cutoff: Option<usize>,
-    /// Pair-scoring kernel for pre-matching (`--scoring scalar|batch`).
-    /// Both kernels produce byte-identical linkage output; `batch` (the
-    /// default) dedups pairs to unique value-id work items and streams
-    /// them through contiguous multiset arenas.
-    pub scoring: Option<ScoringKernel>,
     /// Override of the iterative schedule's lower bound (`--delta-low`).
     pub delta_low: Option<f64>,
     /// Write the pipeline trace as JSON to this file (`--trace-out`).
@@ -131,16 +125,13 @@ impl LinkOptions {
         if let Some(cutoff) = self.parallel_cutoff {
             config.parallel_cutoff = cutoff;
         }
-        if let Some(scoring) = self.scoring {
-            config.scoring = scoring;
-        }
         if let Some(delta_low) = self.delta_low {
             if !(0.0..=1.0).contains(&delta_low) {
                 return Err(format!(
                     "--delta-low must be within [0, 1], got {delta_low}"
                 ));
             }
-            if delta_low > config.delta_high + 1e-9 {
+            if delta_low > config.delta_high {
                 return Err(format!(
                     "--delta-low {delta_low} exceeds the schedule's δ_high {}",
                     config.delta_high
@@ -1123,13 +1114,12 @@ USAGE:
   census-linkage stats FILE.csv --year YEAR
   census-linkage link OLD.csv NEW.csv --old-year Y --new-year Y --out DIR
                  [--threads N] [--shards N] [--parallel-cutoff N] [--delta-low D]
-                 [--scoring scalar|batch] [--mem-budget BYTES]
+                 [--mem-budget BYTES]
                  [--trace-out FILE.json] [--timeline-out FILE.json] [--trace-mem]
                  [--decisions-out DIR] [--truth DIR|PREFIX] [--progress] [--verbose]
   census-linkage evolve FILE.csv... --start-year Y [--interval N] [--out DIR]
                  [--threads N] [--shards N] [--parallel-cutoff N] [--delta-low D]
-                 [--scoring scalar|batch] [--mem-budget BYTES]
-                 [--trace-out FILE.json] [--verbose]
+                 [--mem-budget BYTES] [--trace-out FILE.json] [--verbose]
   census-linkage evaluate FOUND.csv TRUTH.csv --kind records|groups
   census-linkage trace-check FILE.json
   census-linkage trace-diff OLD.json NEW.json [--fail-on SPEC]...
@@ -1221,13 +1211,6 @@ fn take_link_options(args: &mut Vec<String>) -> Result<LinkOptions, CliError> {
     let delta_low = take_value(args, "--delta-low")?
         .map(|s| s.parse::<f64>().map_err(|_| format!("bad delta-low {s:?}")))
         .transpose()?;
-    let scoring = take_value(args, "--scoring")?
-        .map(|s| match s.as_str() {
-            "scalar" => Ok(ScoringKernel::Scalar),
-            "batch" => Ok(ScoringKernel::Batch),
-            _ => Err(format!("bad scoring kernel {s:?} (scalar or batch)")),
-        })
-        .transpose()?;
     let trace_out = take_value(args, "--trace-out")?.map(PathBuf::from);
     let timeline_out = take_value(args, "--timeline-out")?.map(PathBuf::from);
     let decisions_out = take_value(args, "--decisions-out")?.map(PathBuf::from);
@@ -1242,7 +1225,6 @@ fn take_link_options(args: &mut Vec<String>) -> Result<LinkOptions, CliError> {
         threads,
         shards,
         parallel_cutoff,
-        scoring,
         delta_low,
         trace_out,
         timeline_out,
@@ -1601,12 +1583,15 @@ mod tests {
         }
         .apply(&mut config)
         .is_err());
-        assert!(LinkOptions {
-            delta_low: Some(0.9), // above δ_high = 0.7
-            ..LinkOptions::default()
+        for delta_low in [0.9, 0.700_000_000_5] {
+            // above δ_high = 0.7, however slightly
+            assert!(LinkOptions {
+                delta_low: Some(delta_low),
+                ..LinkOptions::default()
+            }
+            .apply(&mut config)
+            .is_err());
         }
-        .apply(&mut config)
-        .is_err());
         LinkOptions {
             threads: Some(2),
             shards: Some(0), // auto
@@ -1633,34 +1618,6 @@ mod tests {
             .map(|s| (*s).to_owned())
             .collect();
         assert!(take_link_options(&mut bad).is_err());
-    }
-
-    #[test]
-    fn scoring_flag_is_parsed() {
-        let mut args: Vec<String> = ["--scoring", "scalar"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let opts = take_link_options(&mut args).unwrap();
-        assert_eq!(opts.scoring, Some(ScoringKernel::Scalar));
-        assert!(args.is_empty(), "all flags consumed");
-        let mut batch: Vec<String> = ["--scoring", "batch"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        assert_eq!(
-            take_link_options(&mut batch).unwrap().scoring,
-            Some(ScoringKernel::Batch)
-        );
-        let mut bad: Vec<String> = ["--scoring", "vectorised"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        assert!(take_link_options(&mut bad).is_err());
-        // unset leaves the config default (batch) in place
-        let mut config = LinkageConfig::default();
-        LinkOptions::default().apply(&mut config).unwrap();
-        assert_eq!(config.scoring, ScoringKernel::Batch);
     }
 
     #[test]
@@ -2026,17 +1983,7 @@ mod tests {
         let report = cmd_trace_check(&trace_path).unwrap();
         assert!(report.contains("trace OK"), "{report}");
 
-        // the scalar kernel must reproduce the batch default byte for
-        // byte, and the batch trace must carry the dedup counters
-        let scalar = dir.join("scalar");
-        link(&scalar, &["--shards", "1", "--scoring", "scalar"]);
-        for file in ["record_mapping.csv", "group_mapping.csv"] {
-            assert_eq!(
-                std::fs::read_to_string(single.join(file)).unwrap(),
-                std::fs::read_to_string(scalar.join(file)).unwrap(),
-                "{file} changed under --scoring scalar"
-            );
-        }
+        // the sharded trace carries the batch kernel's dedup counters
         let probes = trace
             .counters
             .iter()

@@ -38,23 +38,6 @@ impl Default for RemainderConfig {
     }
 }
 
-/// Which kernel the pre-matching phase scores record pairs with. Both
-/// kernels produce bit-identical scores, decisions and prune counts —
-/// the differential suite `tests/batched_vs_scalar.rs` locks that in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoringKernel {
-    /// Pair-at-a-time scoring through `CompiledValue` references, with
-    /// per-spec similarity-table memoisation on the serial path.
-    Scalar,
-    /// Attribute-at-a-time batches: candidate pairs are deduped to
-    /// unique `(old value-id, new value-id)` work items per attribute
-    /// and scored once each through a contiguous
-    /// `textsim::MultisetArena`, then gathered back per pair. The
-    /// default — see `crate::prematch` and DESIGN.md §14.
-    #[default]
-    Batch,
-}
-
 /// Worker-thread settings for the parallel scoring loops: how many
 /// threads to fan out across, and below how many work items fan-out is
 /// skipped because the spawn overhead would dominate.
@@ -69,8 +52,6 @@ pub struct Parallelism {
     /// the unsharded engine). Results are identical for any value — see
     /// `crate::shard`.
     pub shards: usize,
-    /// Pair-scoring kernel. Results are identical for either value.
-    pub scoring: ScoringKernel,
 }
 
 impl Parallelism {
@@ -87,7 +68,6 @@ impl Default for Parallelism {
             threads: default_threads(),
             cutoff: DEFAULT_PARALLEL_CUTOFF,
             shards: 1,
-            scoring: ScoringKernel::default(),
         }
     }
 }
@@ -157,12 +137,6 @@ pub struct LinkageConfig {
     /// value. Only `BlockingStrategy::Standard` has blocking keys to
     /// shard by; `Full` ignores this knob.
     pub shards: usize,
-    /// Pair-scoring kernel for the pre-matching phase (CLI `--scoring`):
-    /// [`ScoringKernel::Batch`] (the default) dedups candidate pairs to
-    /// unique value-id pairs per attribute and scores them through
-    /// contiguous multiset arenas; [`ScoringKernel::Scalar`] keeps the
-    /// pair-at-a-time path. Linkage output is bit-identical for either.
-    pub scoring: ScoringKernel,
 }
 
 impl LinkageConfig {
@@ -224,7 +198,6 @@ impl LinkageConfig {
             threads: self.threads.max(1),
             cutoff: self.parallel_cutoff,
             shards: self.shards.max(1),
-            scoring: self.scoring,
         }
     }
 
@@ -260,7 +233,6 @@ impl Default for LinkageConfig {
             incremental: true,
             memory_budget: None,
             shards: 1,
-            scoring: ScoringKernel::default(),
         }
     }
 }

@@ -55,9 +55,7 @@ pub use blocking::{
     candidate_pairs, candidate_pairs_par, dataset_candidate_pairs, BlockingStrategy,
 };
 pub use cluster::UnionFind;
-pub use config::{
-    LinkageConfig, Parallelism, RemainderConfig, ScoringKernel, DEFAULT_PARALLEL_CUTOFF,
-};
+pub use config::{LinkageConfig, Parallelism, RemainderConfig, DEFAULT_PARALLEL_CUTOFF};
 pub use group_sim::{score_subgraph, GroupScore, SelectionWeights};
 pub use linker::Linker;
 pub use mem::MemGovernor;

@@ -33,10 +33,10 @@
 //! filter-only iterations add no histogram samples, only
 //! `pair_cache_hits`/`pair_cache_filtered` counters.
 
-use crate::blocking::{candidate_pairs_filtered, BlockingStrategy};
+use crate::blocking::BlockingStrategy;
 use crate::config::Parallelism;
 use crate::mem::MemGovernor;
-use crate::prematch::{age_plausible, score_pairs};
+use crate::prematch::{age_plausible, Blocked};
 use crate::simfunc::{AttributeSpec, CompiledProfile, SimFunc};
 use census_model::{PersonRecord, RecordId};
 use obs::{Collector, Counter, Footprint, MemoryFootprint};
@@ -137,21 +137,10 @@ impl PairScoreCache {
         mem: &MemGovernor,
         obs: &Collector,
     ) -> Option<Self> {
-        // the sharded engine generates pairs partitioned by owning
-        // blocking key; both branches expose the same deduplicated pair
-        // count to the budget gate before any scoring starts
-        let use_shards = par.shards > 1 && strategy == BlockingStrategy::Standard;
-        let (pairs, sharded) = if use_shards {
-            let sharded =
-                crate::shard::sharded_candidate_pairs(old, new, year_gap, par, max_age_gap, obs);
-            (Vec::new(), Some(sharded))
-        } else {
-            (
-                candidate_pairs_filtered(old, new, year_gap, strategy, par.threads, max_age_gap),
-                None,
-            )
-        };
-        let n_pairs = sharded.as_ref().map_or(pairs.len(), |s| s.total);
+        // the budget gate sees the deduplicated pair count before any
+        // scoring starts
+        let blocked = Blocked::generate(old, new, year_gap, strategy, par, max_age_gap, obs);
+        let n_pairs = blocked.len();
         if !mem.allow_pair_cache(n_pairs) {
             obs.add(Counter::MemFallbackPairCache, 1);
             obs.event(
@@ -165,12 +154,7 @@ impl PairScoreCache {
             return None;
         }
         obs.add(Counter::BlockingPairsGenerated, n_pairs as u64);
-        let matches = match &sharded {
-            Some(s) => {
-                crate::shard::sharded_scores(s, old_profiles, new_profiles, sim, par, mem, obs)
-            }
-            None => score_pairs(&pairs, old_profiles, new_profiles, sim, par, mem, obs),
-        };
+        let matches = blocked.score(old_profiles, new_profiles, sim, par, mem, obs);
         let mut entries: Vec<(RecordId, RecordId, f64)> = matches
             .into_iter()
             .map(|(i, j, s)| (old[i as usize].id, new[j as usize].id, s))

@@ -9,8 +9,9 @@
 
 use crate::blocking::{candidate_pairs_filtered, BlockingStrategy};
 use crate::cluster::UnionFind;
-use crate::config::{Parallelism, ScoringKernel};
+use crate::config::Parallelism;
 use crate::mem::MemGovernor;
+use crate::shard::{sharded_candidate_pairs, sharded_scores, ShardedPairs};
 use crate::simfunc::{CompiledProfile, SimFunc};
 use census_model::{PersonRecord, RecordId};
 use obs::{Collector, Counter, EventKind, Footprint};
@@ -124,9 +125,30 @@ impl SimTable {
         })
     }
 
-    /// Estimated heap bytes of this table.
-    fn bytes(&self) -> u64 {
-        (self.sims.capacity() * 8 + self.filled.capacity() * 8) as u64
+    /// One table per spec over `uniques[spec]` interned ids, capped at
+    /// `max_cells` (the memory budget's per-table share) and at the
+    /// locality cap. Also returns how many tables the budget refused
+    /// that the locality cap alone would have admitted — the
+    /// budget-driven fallbacks [`note_budget_rejected`] reports.
+    fn per_spec(uniques: &[usize], max_cells: usize) -> (Vec<Option<Self>>, u64) {
+        let capped = max_cells.min(Self::MAX_CELLS);
+        let tables: Vec<Option<Self>> = uniques.iter().map(|&u| Self::new(u, capped)).collect();
+        let budget_rejected = tables
+            .iter()
+            .zip(uniques)
+            .filter(|&(t, &u)| {
+                t.is_none() && u.checked_mul(u).is_some_and(|c| c <= Self::MAX_CELLS)
+            })
+            .count() as u64;
+        (tables, budget_rejected)
+    }
+
+    /// Heap bytes and total cells of a set of tables.
+    fn footprint(tables: &[Option<Self>]) -> Footprint {
+        tables.iter().flatten().fold(Footprint::ZERO, |acc, t| {
+            let bytes = (t.sims.capacity() * 8 + t.filled.capacity() * 8) as u64;
+            acc.plus(Footprint::new(bytes, (t.n * t.n) as u64))
+        })
     }
 
     #[inline]
@@ -150,18 +172,49 @@ impl SimTable {
 /// corpora repeat the same value pairs far beyond 2^16 pairs.
 const BATCH_TILE_PAIRS: usize = 1 << 20;
 
+/// Report similarity tables the memory budget refused (see
+/// [`SimTable::per_spec`]) as a counter and a trace event.
+pub(crate) fn note_budget_rejected(obs: &Collector, rejected: u64, max_cells: usize) {
+    if rejected > 0 {
+        obs.add(Counter::MemFallbackSimTable, rejected);
+        obs.event(
+            "mem_fallback_sim_table",
+            format!(
+                "{rejected} sim table(s) over the {max_cells}-cell budget cap; \
+                 scoring those attributes directly"
+            ),
+        );
+    }
+}
+
 /// Telemetry of one batch-scoring pass.
 #[derive(Default)]
-struct BatchStats {
+pub(crate) struct BatchStats {
     /// Work items requested: still-alive pairs summed over the attribute
-    /// columns — the same probe set the scalar kernel's early-exit loop
-    /// makes.
+    /// columns — the same probe set the per-pair early-exit loop
+    /// (`SimFunc::matches_compiled_counted`) makes.
     probes: u64,
     /// Unique `(old value-id, new value-id)` items actually computed —
     /// `1 − unique/probes` is the kernel's dedup win.
     unique: u64,
     /// Early-exit prune tally of the column compaction.
     prunes: u64,
+}
+
+impl BatchStats {
+    /// Fold another pass's telemetry into this one.
+    pub(crate) fn merge(&mut self, other: &Self) {
+        self.probes += other.probes;
+        self.unique += other.unique;
+        self.prunes += other.prunes;
+    }
+
+    /// Add the tallies to the collector's counters.
+    pub(crate) fn report(&self, obs: &Collector) {
+        obs.add(Counter::PairScoreBatchProbes, self.probes);
+        obs.add(Counter::PairScoreBatchedUnique, self.unique);
+        obs.add(Counter::EarlyExitPrunes, self.prunes);
+    }
 }
 
 /// How batch tiles map pair indices onto rows of the id matrix.
@@ -176,25 +229,25 @@ enum RowLookup<'a> {
     },
 }
 
-/// The attribute-at-a-time batch scoring kernel (`--scoring batch`).
+/// The attribute-at-a-time batch scoring kernel — the pre-matching
+/// scorer on every path (serial, parallel and sharded).
 ///
 /// Pairs are processed in tiles. Per tile, attribute columns are
-/// materialised one at a time in the scalar kernel's descending-weight
-/// order: a planning pass dedups the column of interned value-id pairs
-/// to unique work items — through the spec's [`SimTable`] when one
-/// exists (the filled bit is the cross-tile dedup, and filling it
-/// scatters the result back into the same slot the scalar kernel reads),
-/// otherwise by a tile-local sort. Each unique item is scored once
-/// through the spec's [`MultisetArena`], streaming the packed gram
-/// buffer linearly instead of chasing `CompiledValue` pointers. After
-/// every column the tile's selection vector is compacted at the *same*
-/// early-exit bound the scalar kernel checks
+/// materialised one at a time in descending-weight order: a planning
+/// pass dedups the column of interned value-id pairs to unique work
+/// items — through the spec's [`SimTable`] when one exists (the filled
+/// bit is the cross-tile dedup), otherwise by a tile-local sort. Each
+/// unique item is scored once through the spec's [`MultisetArena`],
+/// streaming the packed gram buffer linearly instead of chasing
+/// `CompiledValue` pointers. After every column the tile's selection
+/// vector is compacted at the *same* early-exit bound the per-pair
+/// loop `SimFunc::matches_compiled_counted` checks
 /// (`SimFunc::bound_fails_after`), so later — lighter-weight — columns
-/// shrink to the survivors and the kernel's probe set is exactly the
-/// scalar loop's. Survivors fold in original spec order
+/// shrink to the survivors and the kernel's probe set is exactly that
+/// loop's. Survivors fold in original spec order
 /// (`SimFunc::fold_survivor`); decisions, scores and prune counts are
-/// bit-identical — only the order the per-attribute similarities are
-/// materialised in changes.
+/// bit-identical to the per-pair oracle — only the order the
+/// per-attribute similarities are materialised in changes.
 #[allow(clippy::too_many_arguments)] // the scoring inputs plus the batch plumbing
 fn batch_score_into(
     pairs: &[(u32, u32)],
@@ -328,7 +381,8 @@ fn batch_score_into(
                 }
             }
             // fold the column into the running bounds and compact the
-            // selection vector — the scalar loop's prune, column-at-a-time
+            // selection vector — the per-pair loop's prune,
+            // column-at-a-time
             let last = k + 1 == order.len();
             let w = sim.weight_of(spec);
             let mut kept = 0usize;
@@ -339,7 +393,7 @@ fn batch_score_into(
                 let partial = partials[idx] + w * v;
                 if sim.bound_fails_after(partial, k) {
                     // a fail on the last column is the threshold decision
-                    // itself, not an early exit — the scalar kernel does
+                    // itself, not an early exit — the per-pair loop does
                     // not count it either
                     if !last {
                         stats.prunes += 1;
@@ -411,10 +465,10 @@ impl PreMatch {
     }
 }
 
-/// Score candidate pairs in parallel; returns `(old_idx, new_idx, sim)`
-/// for pairs at or above the threshold. Scoring runs on compiled
-/// profiles with early-exit pruning — decision- and score-identical to
-/// the naive `aggregate_profiles` path (see `SimFunc::matches_compiled`).
+/// Score candidate pairs with the batch kernel; returns `(old_idx,
+/// new_idx, sim)` for pairs at or above the threshold — decision- and
+/// score-identical to the naive `aggregate_profiles` path (see
+/// `SimFunc::matches_compiled`).
 pub(crate) fn score_pairs(
     pairs: &[(u32, u32)],
     old_profiles: &[&CompiledProfile],
@@ -424,115 +478,46 @@ pub(crate) fn score_pairs(
     mem: &MemGovernor,
     obs: &Collector,
 ) -> Vec<(u32, u32, f64)> {
-    let threads = par.threads.max(1);
     if pairs.is_empty() {
         return Vec::new();
     }
     obs.add(Counter::PrematchPairsScored, pairs.len() as u64);
-    if par.is_serial(pairs.len()) {
+    let ids = ValueIds::build(old_profiles, new_profiles);
+    let arenas = ids.arenas();
+    if obs.is_enabled() {
+        obs.snapshot_footprint("value_arenas", arena_footprint(&arenas));
+    }
+    let out = if par.is_serial(pairs.len()) {
         // attribute values repeat heavily across census records (name
         // pools, shared household addresses), so the serial path serves
         // per-attribute similarities from dense lazily-filled tables over
         // interned value ids — bit-identical to direct scoring because
-        // `CompiledValue::similarity` is deterministic in its inputs.
-        // (The parallel path runs without shared tables: per-worker
-        // tables would multiply the memo's memory by the thread count.)
-        let ids = ValueIds::build(old_profiles, new_profiles);
-        let max_cells = mem
-            .sim_table_max_cells(ids.uniques.len())
-            .min(SimTable::MAX_CELLS);
-        let mut budget_rejected = 0u64;
-        let tables_iter = ids.uniques.iter().map(|&u| {
-            let t = SimTable::new(u, max_cells);
-            // only count tables the default cap would have admitted:
-            // those are budget-driven fallbacks, not locality ones
-            if t.is_none()
-                && u.checked_mul(u)
-                    .is_some_and(|cells| cells <= SimTable::MAX_CELLS)
-            {
-                budget_rejected += 1;
-            }
-            t
-        });
-        let mut tables: Vec<Option<SimTable>> = tables_iter.collect();
-        if budget_rejected > 0 {
-            obs.add(Counter::MemFallbackSimTable, budget_rejected);
-            obs.event(
-                "mem_fallback_sim_table",
-                format!(
-                    "{budget_rejected} sim table(s) over the {max_cells}-cell budget cap; \
-                     scoring those attributes directly"
-                ),
-            );
-        }
+        // `CompiledValue::similarity` is deterministic in its inputs
+        let max_cells = mem.sim_table_max_cells(ids.uniques.len());
+        let (mut tables, budget_rejected) = SimTable::per_spec(&ids.uniques, max_cells);
+        note_budget_rejected(obs, budget_rejected, max_cells);
         if obs.is_enabled() {
-            let fp = tables.iter().flatten().fold(Footprint::ZERO, |acc, t| {
-                acc.plus(Footprint::new(t.bytes(), (t.n * t.n) as u64))
-            });
-            obs.snapshot_footprint("sim_tables", fp);
+            obs.snapshot_footprint("sim_tables", SimTable::footprint(&tables));
         }
-        let out = if par.scoring == ScoringKernel::Batch {
-            let arenas = ids.arenas();
-            if obs.is_enabled() {
-                obs.snapshot_footprint("value_arenas", arena_footprint(&arenas));
-            }
-            let mut stats = BatchStats::default();
-            let out = batch_score_into(
-                pairs,
-                sim,
-                &ids,
-                &RowLookup::Direct,
-                &arenas,
-                &mut tables,
-                &mut stats,
-            );
-            obs.add(Counter::PairScoreBatchProbes, stats.probes);
-            obs.add(Counter::PairScoreBatchedUnique, stats.unique);
-            obs.add(Counter::EarlyExitPrunes, stats.prunes);
-            out
-        } else {
-            let mut prunes = 0u64;
-            let mut out = Vec::new();
-            for &(i, j) in pairs {
-                let base_o = i as usize * ids.n_specs;
-                let base_n = j as usize * ids.n_specs;
-                let matched = sim.matches_compiled_memoized(
-                    old_profiles[i as usize],
-                    new_profiles[j as usize],
-                    &mut prunes,
-                    &mut |k, va, vb| match &mut tables[k] {
-                        Some(t) => {
-                            t.get_or_insert_with(ids.old[base_o + k], ids.new[base_n + k], || {
-                                va.similarity(vb)
-                            })
-                        }
-                        None => va.similarity(vb),
-                    },
-                );
-                if let Some(s) = matched {
-                    out.push((i, j, s));
-                }
-            }
-            obs.add(Counter::EarlyExitPrunes, prunes);
-            out
-        };
-        obs.add(Counter::PrematchPairsMatched, out.len() as u64);
-        sample_match_scores(&out, obs);
-        return out;
-    }
-    if par.scoring == ScoringKernel::Batch {
-        // parallel batch: intern the value ids and build the arenas once,
-        // then share them read-only across the workers. Each worker
-        // dedups tile-locally with no tables — a shared table would
-        // serialise the workers on its lock, and per-worker tables would
-        // multiply the memo's memory by the thread count, mirroring the
-        // scalar parallel path's no-memo choice.
-        let ids = ValueIds::build(old_profiles, new_profiles);
-        let arenas = ids.arenas();
-        if obs.is_enabled() {
-            obs.snapshot_footprint("value_arenas", arena_footprint(&arenas));
-        }
-        let chunk = pairs.len().div_ceil(threads);
+        let mut stats = BatchStats::default();
+        let out = batch_score_into(
+            pairs,
+            sim,
+            &ids,
+            &RowLookup::Direct,
+            &arenas,
+            &mut tables,
+            &mut stats,
+        );
+        stats.report(obs);
+        out
+    } else {
+        // parallel: the interned ids and arenas are shared read-only
+        // across the workers. Each worker dedups
+        // tile-locally with no tables — a shared table would serialise
+        // the workers on its lock, and per-worker tables would multiply
+        // the memo's memory by the thread count.
+        let chunk = pairs.len().div_ceil(par.threads.max(1));
         let mut out = Vec::with_capacity(pairs.len() / 4);
         crossbeam::scope(|scope| {
             let handles: Vec<_> = pairs
@@ -557,9 +542,7 @@ pub(crate) fn score_pairs(
                             &mut tables,
                             &mut stats,
                         );
-                        obs.add(Counter::PairScoreBatchProbes, stats.probes);
-                        obs.add(Counter::PairScoreBatchedUnique, stats.unique);
-                        obs.add(Counter::EarlyExitPrunes, stats.prunes);
+                        stats.report(obs);
                         obs.thread_chunk("prematch", None, ci, ci, slice.len(), start.elapsed());
                         if let Some(t0) = t0 {
                             obs.timeline_task(ci, EventKind::PrematchTile, ci as u64, None, t0);
@@ -573,54 +556,8 @@ pub(crate) fn score_pairs(
             }
         })
         .expect("crossbeam scope");
-        obs.add(Counter::PrematchPairsMatched, out.len() as u64);
-        sample_match_scores(&out, obs);
-        return out;
-    }
-    // prune tallies accumulate into a worker-local integer and are
-    // flushed to the collector once per slice, so the hot loop carries
-    // no synchronisation and a disabled collector costs one branch
-    let score_slice = |slice: &[(u32, u32)]| -> (Vec<(u32, u32, f64)>, u64) {
-        let mut prunes = 0u64;
-        let scored = slice
-            .iter()
-            .filter_map(|&(i, j)| {
-                sim.matches_compiled_counted(
-                    old_profiles[i as usize],
-                    new_profiles[j as usize],
-                    &mut prunes,
-                )
-                .map(|s| (i, j, s))
-            })
-            .collect();
-        (scored, prunes)
+        out
     };
-    let chunk = pairs.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(pairs.len() / 4);
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, slice)| {
-                let score_slice = &score_slice;
-                scope.spawn(move |_| {
-                    let t0 = obs.timeline_start();
-                    let start = Instant::now();
-                    let (scored, prunes) = score_slice(slice);
-                    obs.add(Counter::EarlyExitPrunes, prunes);
-                    obs.thread_chunk("prematch", None, ci, ci, slice.len(), start.elapsed());
-                    if let Some(t0) = t0 {
-                        obs.timeline_task(ci, EventKind::PrematchTile, ci as u64, None, t0);
-                    }
-                    scored
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("scoring worker panicked"));
-        }
-    })
-    .expect("crossbeam scope");
     obs.add(Counter::PrematchPairsMatched, out.len() as u64);
     sample_match_scores(&out, obs);
     out
@@ -632,23 +569,15 @@ pub(crate) struct ShardScore {
     /// `(old_idx, new_idx, agg_sim)` of pairs at or above the threshold,
     /// in global indices, in the shard's (sorted) pair order.
     pub matched: Vec<(u32, u32, f64)>,
-    /// Early-exit prune tally.
-    pub prunes: u64,
+    /// Batch-kernel probe, dedup and early-exit prune tallies.
+    pub stats: BatchStats,
     /// Similarity tables rejected by the memory budget (excluding ones
     /// the default locality cap would have rejected anyway).
     pub budget_rejected: u64,
-    /// Heap bytes of this shard's similarity tables.
-    pub table_bytes: u64,
-    /// Total cells of this shard's similarity tables.
-    pub table_cells: u64,
-    /// Heap bytes of this shard's multiset arenas (batch kernel only).
-    pub arena_bytes: u64,
-    /// Values laid out in this shard's arenas (batch kernel only).
-    pub arena_values: u64,
-    /// Batch-kernel work items requested (pairs × specs; batch only).
-    pub probes: u64,
-    /// Batch-kernel unique items computed (batch only).
-    pub unique: u64,
+    /// Heap bytes and cells of this shard's similarity tables.
+    pub tables: Footprint,
+    /// Heap bytes and laid-out values of this shard's multiset arenas.
+    pub arenas: Footprint,
 }
 
 /// Score one shard's candidate pairs with shard-local similarity tables.
@@ -658,7 +587,7 @@ pub(crate) struct ShardScore {
 /// of names, one band of ages), so per-attribute tables that blow the
 /// [`SimTable::MAX_CELLS`] locality cap globally fit comfortably per
 /// shard and memoisation survives at scales where the unsharded serial
-/// path degrades to direct scoring. Scores are bit-identical to direct
+/// path degrades to tile-local dedup. Scores are bit-identical to direct
 /// scoring because `CompiledValue::similarity` is deterministic.
 pub(crate) fn score_shard(
     pairs: &[(u32, u32)],
@@ -666,7 +595,6 @@ pub(crate) fn score_shard(
     new_profiles: &[&CompiledProfile],
     sim: &SimFunc,
     max_cells: usize,
-    scoring: ScoringKernel,
 ) -> ShardScore {
     // the shard touches a small subset of each side; intern values over
     // exactly that subset so table sizes track the shard, not the run
@@ -681,88 +609,27 @@ pub(crate) fn score_shard(
     let local_new: Vec<&CompiledProfile> =
         uniq_new.iter().map(|&j| new_profiles[j as usize]).collect();
     let ids = ValueIds::build(&local_old, &local_new);
-    let max_cells = max_cells.min(SimTable::MAX_CELLS);
-    let mut budget_rejected = 0u64;
-    let mut tables: Vec<Option<SimTable>> = ids
-        .uniques
-        .iter()
-        .map(|&u| {
-            let t = SimTable::new(u, max_cells);
-            if t.is_none()
-                && u.checked_mul(u)
-                    .is_some_and(|cells| cells <= SimTable::MAX_CELLS)
-            {
-                budget_rejected += 1;
-            }
-            t
-        })
-        .collect();
-    let (table_bytes, table_cells) = tables.iter().flatten().fold((0u64, 0u64), |(b, c), t| {
-        (b + t.bytes(), c + (t.n * t.n) as u64)
-    });
-    if scoring == ScoringKernel::Batch {
-        // the shard already has its own value universe and tables; the
-        // batch kernel adds per-spec arenas over the shard's
-        // representatives and streams the unique work items through them
-        let arenas = ids.arenas();
-        let fp = arena_footprint(&arenas);
-        let mut stats = BatchStats::default();
-        let matched = batch_score_into(
-            pairs,
-            sim,
-            &ids,
-            &RowLookup::Sharded {
-                uniq_old: &uniq_old,
-                uniq_new: &uniq_new,
-            },
-            &arenas,
-            &mut tables,
-            &mut stats,
-        );
-        return ShardScore {
-            matched,
-            prunes: stats.prunes,
-            budget_rejected,
-            table_bytes,
-            table_cells,
-            arena_bytes: fp.bytes,
-            arena_values: fp.elements,
-            probes: stats.probes,
-            unique: stats.unique,
-        };
-    }
-    let mut prunes = 0u64;
-    let mut matched = Vec::new();
-    for &(i, j) in pairs {
-        let li = uniq_old.binary_search(&i).expect("pair index in uniq_old");
-        let lj = uniq_new.binary_search(&j).expect("pair index in uniq_new");
-        let base_o = li * ids.n_specs;
-        let base_n = lj * ids.n_specs;
-        let hit = sim.matches_compiled_memoized(
-            old_profiles[i as usize],
-            new_profiles[j as usize],
-            &mut prunes,
-            &mut |k, va, vb| match &mut tables[k] {
-                Some(t) => t.get_or_insert_with(ids.old[base_o + k], ids.new[base_n + k], || {
-                    va.similarity(vb)
-                }),
-                None => va.similarity(vb),
-            },
-        );
-        if let Some(s) = hit {
-            matched.push((i, j, s));
-        }
-    }
+    let (mut tables, budget_rejected) = SimTable::per_spec(&ids.uniques, max_cells);
+    let arenas = ids.arenas();
+    let mut stats = BatchStats::default();
+    let matched = batch_score_into(
+        pairs,
+        sim,
+        &ids,
+        &RowLookup::Sharded {
+            uniq_old: &uniq_old,
+            uniq_new: &uniq_new,
+        },
+        &arenas,
+        &mut tables,
+        &mut stats,
+    );
     ShardScore {
         matched,
-        prunes,
+        stats,
         budget_rejected,
-        table_bytes,
-        table_cells,
-        arena_bytes: 0,
-        arena_values: 0,
-        probes: 0,
-        unique: 0,
+        tables: SimTable::footprint(&tables),
+        arenas: arena_footprint(&arenas),
     }
 }
 
@@ -822,9 +689,9 @@ pub fn prematch(
 /// `old_profiles[i]` must be `sim.compile(old[i])` — same specs, same
 /// order — and likewise for the new side. Pair/prune counters and
 /// per-thread chunk timings are reported to `obs` (pass
-/// [`Collector::disabled`] when not tracing); `mem` caps the serial
-/// path's similarity tables (pass [`MemGovernor::unlimited`] when not
-/// budgeting — the fallback is score-identical either way).
+/// [`Collector::disabled`] when not tracing); `mem` caps the similarity
+/// tables (pass [`MemGovernor::unlimited`] when not budgeting — the
+/// fallback is score-identical either way).
 #[allow(clippy::too_many_arguments)] // prematch's inputs plus the profile slices
 #[must_use]
 pub fn prematch_with_profiles(
@@ -842,23 +709,99 @@ pub fn prematch_with_profiles(
 ) -> PreMatch {
     debug_assert_eq!(old.len(), old_profiles.len());
     debug_assert_eq!(new.len(), new_profiles.len());
-    if par.shards > 1 && strategy == BlockingStrategy::Standard {
-        // sharded engine: pairs are generated per owning blocking key and
-        // scored with shard-local similarity tables; the merged result is
-        // bit-identical to the unsharded path (see `crate::shard`)
-        let sharded =
-            crate::shard::sharded_candidate_pairs(old, new, year_gap, par, max_age_gap, obs);
-        obs.add(Counter::BlockingPairsGenerated, sharded.total as u64);
-        let matches =
-            crate::shard::sharded_scores(&sharded, old_profiles, new_profiles, sim, par, mem, obs);
-        return build_prematch(old, new, &matches);
-    }
-    // the age-plausibility filter is fused into pair emission, so
-    // implausible pairs never enter the dedup sort or the scored set
-    let pairs = candidate_pairs_filtered(old, new, year_gap, strategy, par.threads, max_age_gap);
-    obs.add(Counter::BlockingPairsGenerated, pairs.len() as u64);
-    let matches = score_pairs(&pairs, old_profiles, new_profiles, sim, par, mem, obs);
+    let blocked = Blocked::generate(old, new, year_gap, strategy, par, max_age_gap, obs);
+    obs.add(Counter::BlockingPairsGenerated, blocked.len() as u64);
+    let matches = blocked.score(old_profiles, new_profiles, sim, par, mem, obs);
     build_prematch(old, new, &matches)
+}
+
+/// The candidate pairs of one blocking pass, in the shape the engine
+/// that scores them needs. This is the one place the sharded engine is
+/// chosen: with `par.shards > 1` under Standard blocking (only Standard
+/// has blocking keys to shard by) pairs are generated per owning key and
+/// scored with shard-local similarity tables; otherwise they form one
+/// flat sorted list. Both shapes hold the same deduplicated pair set and
+/// score to bit-identical matches (see `crate::shard`).
+pub(crate) enum Blocked {
+    /// Sorted, deduplicated `(old_idx, new_idx)` pairs.
+    Flat(Vec<(u32, u32)>),
+    /// Pairs partitioned by owning shard.
+    Sharded(ShardedPairs),
+}
+
+impl Blocked {
+    /// Block `old × new`, dropping pairs whose ages are implausible under
+    /// `max_age_gap` before they are deduplicated (`None` keeps every
+    /// blocked pair).
+    pub(crate) fn generate(
+        old: &[&PersonRecord],
+        new: &[&PersonRecord],
+        year_gap: i64,
+        strategy: BlockingStrategy,
+        par: Parallelism,
+        max_age_gap: Option<u32>,
+        obs: &Collector,
+    ) -> Self {
+        if par.shards > 1 && strategy == BlockingStrategy::Standard {
+            Self::Sharded(sharded_candidate_pairs(
+                old,
+                new,
+                year_gap,
+                par,
+                max_age_gap,
+                obs,
+            ))
+        } else {
+            Self::Flat(candidate_pairs_filtered(
+                old,
+                new,
+                year_gap,
+                strategy,
+                par.threads,
+                max_age_gap,
+            ))
+        }
+    }
+
+    /// Number of candidate pairs.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Self::Flat(pairs) => pairs.len(),
+            Self::Sharded(sharded) => sharded.total,
+        }
+    }
+
+    /// Score every pair at `sim`'s threshold: `(old_idx, new_idx,
+    /// agg_sim)` of the matches, sorted by `(old, new)`.
+    pub(crate) fn score(
+        &self,
+        old_profiles: &[&CompiledProfile],
+        new_profiles: &[&CompiledProfile],
+        sim: &SimFunc,
+        par: Parallelism,
+        mem: &MemGovernor,
+        obs: &Collector,
+    ) -> Vec<(u32, u32, f64)> {
+        match self {
+            Self::Flat(pairs) => score_pairs(pairs, old_profiles, new_profiles, sim, par, mem, obs),
+            Self::Sharded(sharded) => {
+                sharded_scores(sharded, old_profiles, new_profiles, sim, par, mem, obs)
+            }
+        }
+    }
+
+    /// The pairs as one sorted list: per-shard sets are disjoint, so
+    /// sorting their union reproduces the flat list exactly.
+    pub(crate) fn into_sorted_pairs(self) -> Vec<(u32, u32)> {
+        match self {
+            Self::Flat(pairs) => pairs,
+            Self::Sharded(sharded) => {
+                let mut flat: Vec<(u32, u32)> = sharded.per_shard.into_iter().flatten().collect();
+                flat.sort_unstable();
+                flat
+            }
+        }
+    }
 }
 
 /// Build the [`PreMatch`] clustering from scored match pairs: the

@@ -22,10 +22,10 @@
 //!
 //! Classification is *oracle replay*: blocking keys, age plausibility
 //! and the exact `agg_sim` are recomputed from the records at finish
-//! time ([`crate::SimFunc::aggregate`] is bit-identical across scoring
-//! kernels, so the replayed score equals the hot path's). The only live
-//! taps the run needs are the selection rejections and the shard
-//! attribution, both recorded on the collector.
+//! time ([`crate::SimFunc::aggregate`] is bit-identical to the batch
+//! scoring kernel, so the replayed score equals the hot path's). The
+//! only live taps the run needs are the selection rejections and the
+//! shard attribution, both recorded on the collector.
 
 use crate::blocking::{family_disagreement, owner_key, BlockingStrategy, KeyFields};
 use crate::config::LinkageConfig;

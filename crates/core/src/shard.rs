@@ -25,7 +25,9 @@
 use crate::blocking::{append_keys, owner_key, KeyFields};
 use crate::config::Parallelism;
 use crate::mem::MemGovernor;
-use crate::prematch::{sample_match_scores, score_shard, ShardScore};
+use crate::prematch::{
+    note_budget_rejected, sample_match_scores, score_shard, BatchStats, ShardScore,
+};
 use crate::simfunc::{CompiledProfile, SimFunc};
 use census_model::PersonRecord;
 use obs::{Collector, Counter, EventKind, Footprint, ShardStat};
@@ -281,7 +283,6 @@ pub(crate) fn sharded_scores(
             new_profiles,
             sim,
             max_cells,
-            par.scoring,
         );
         let duration_us = obs_us(start.elapsed());
         if let Some(t0) = t0 {
@@ -296,20 +297,18 @@ pub(crate) fn sharded_scores(
     // driver thread reports the merge and sort as worker-0 events
     let merge_t0 = obs.timeline_start();
     let mut merged: Vec<(u32, u32, f64)> = Vec::new();
-    let mut prunes = 0u64;
+    let mut stats = BatchStats::default();
     let mut budget_rejected = 0u64;
     let mut fp = Footprint::ZERO;
     let mut arena_fp = Footprint::ZERO;
-    let mut batch_probes = 0u64;
-    let mut batch_unique = 0u64;
     for (s, (score, duration_us, worker)) in results.into_iter().enumerate() {
         obs.shard_stat(ShardStat {
             shard: s,
             keys: sharded.keys_per_shard[s] as u64,
             pairs: sharded.per_shard[s].len() as u64,
             matched: score.matched.len() as u64,
-            sim_table_bytes: score.table_bytes,
-            sim_table_cells: score.table_cells,
+            sim_table_bytes: score.tables.bytes,
+            sim_table_cells: score.tables.elements,
             duration_us,
         });
         obs.thread_chunk(
@@ -320,12 +319,10 @@ pub(crate) fn sharded_scores(
             sharded.per_shard[s].len(),
             std::time::Duration::from_micros(duration_us),
         );
-        prunes += score.prunes;
+        stats.merge(&score.stats);
         budget_rejected += score.budget_rejected;
-        fp = fp.plus(Footprint::new(score.table_bytes, score.table_cells));
-        arena_fp = arena_fp.plus(Footprint::new(score.arena_bytes, score.arena_values));
-        batch_probes += score.probes;
-        batch_unique += score.unique;
+        fp = fp.plus(score.tables);
+        arena_fp = arena_fp.plus(score.arenas);
         merged.extend(score.matched);
     }
     if let Some(t0) = merge_t0 {
@@ -336,27 +333,12 @@ pub(crate) fn sharded_scores(
     if let Some(t0) = sort_t0 {
         obs.timeline_task(0, EventKind::Sort, merged.len() as u64, None, t0);
     }
-    obs.add(Counter::EarlyExitPrunes, prunes);
+    stats.report(obs);
     obs.add(Counter::PrematchPairsMatched, merged.len() as u64);
-    if batch_probes > 0 {
-        obs.add(Counter::PairScoreBatchProbes, batch_probes);
-        obs.add(Counter::PairScoreBatchedUnique, batch_unique);
-    }
-    if budget_rejected > 0 {
-        obs.add(Counter::MemFallbackSimTable, budget_rejected);
-        obs.event(
-            "mem_fallback_sim_table",
-            format!(
-                "{budget_rejected} shard sim table(s) over the {max_cells}-cell budget cap; \
-                 scoring those attributes directly"
-            ),
-        );
-    }
+    note_budget_rejected(obs, budget_rejected, max_cells);
     if obs.is_enabled() {
         obs.snapshot_footprint("sim_tables", fp);
-        if arena_fp.bytes > 0 {
-            obs.snapshot_footprint("value_arenas", arena_fp);
-        }
+        obs.snapshot_footprint("value_arenas", arena_fp);
     }
     sample_match_scores(&merged, obs);
     merged

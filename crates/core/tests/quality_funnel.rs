@@ -1,10 +1,10 @@
 //! End-to-end invariants of the ground-truth quality telemetry: the
 //! recall-loss funnel must partition the truth set exactly, across every
-//! execution mode (serial/parallel × shard counts × scoring kernels),
+//! execution mode (serial/parallel × shard counts),
 //! and turning truth telemetry on must not change the produced mappings.
 
 use census_synth::{generate_series, SimConfig};
-use linkage_core::{link_traced, LinkageConfig, ScoringKernel};
+use linkage_core::{link_traced, LinkageConfig};
 use obs::{Collector, TruthConfig};
 use std::collections::BTreeSet;
 
@@ -34,44 +34,39 @@ fn funnel_partitions_truth_exactly_in_every_execution_mode() {
     let mut sections = Vec::new();
     for threads in [1, 4] {
         for shards in [1, 0] {
-            for scoring in [ScoringKernel::Scalar, ScoringKernel::Batch] {
-                let config = LinkageConfig {
-                    threads,
-                    shards,
-                    scoring,
-                    ..LinkageConfig::default()
-                };
-                let obs = Collector::enabled().with_truth(tc.clone());
-                let result = link_traced(old, new, &config, &obs);
-                let trace = obs.finish();
-                let q = trace
-                    .quality
-                    .unwrap_or_else(|| panic!("no quality section ({threads}t {shards}s)"));
-                q.validate().unwrap_or_else(|e| {
-                    panic!("invalid quality section ({threads}t {shards}s {scoring:?}): {e}")
-                });
-                assert_eq!(
-                    q.funnel.total,
-                    truth_records.len() as u64,
-                    "funnel total must cover every distinct true pair"
+            let config = LinkageConfig {
+                threads,
+                shards,
+                ..LinkageConfig::default()
+            };
+            let obs = Collector::enabled().with_truth(tc.clone());
+            let result = link_traced(old, new, &config, &obs);
+            let trace = obs.finish();
+            let q = trace
+                .quality
+                .unwrap_or_else(|| panic!("no quality section ({threads}t {shards}s)"));
+            q.validate()
+                .unwrap_or_else(|e| panic!("invalid quality section ({threads}t {shards}s): {e}"));
+            assert_eq!(
+                q.funnel.total,
+                truth_records.len() as u64,
+                "funnel total must cover every distinct true pair"
+            );
+            assert_eq!(q.records.found, result.records.len() as u64);
+            assert_eq!(q.groups.found, result.groups.len() as u64);
+            // the funnel recovers decent recall on clean synthetic data
+            assert!(q.funnel.recovered() * 2 > q.funnel.total);
+            // sharded runs attribute blocked pairs across real shards
+            let resolved = config.resolved_shards(old.records().len() + new.records().len());
+            if resolved > 1 {
+                assert!(
+                    !q.per_shard.is_empty(),
+                    "sharded run recorded no shard attribution"
                 );
-                assert_eq!(q.records.found, result.records.len() as u64);
-                assert_eq!(q.groups.found, result.groups.len() as u64);
-                // the funnel recovers decent recall on clean synthetic data
-                assert!(q.funnel.recovered() * 2 > q.funnel.total);
-                // sharded runs attribute blocked pairs across real shards
-                let resolved =
-                    config.resolved_shards(old.records().len() + new.records().len());
-                if resolved > 1 {
-                    assert!(
-                        !q.per_shard.is_empty(),
-                        "sharded run recorded no shard attribution"
-                    );
-                } else {
-                    assert!(q.per_shard.iter().all(|s| s.shard == 0));
-                }
-                sections.push(((threads, shards, scoring), q));
+            } else {
+                assert!(q.per_shard.iter().all(|s| s.shard == 0));
             }
+            sections.push(((threads, shards), q));
         }
     }
     // the funnel classification itself is execution-mode invariant

@@ -182,33 +182,98 @@ fn truth_patterns_versus_found_patterns_agree_in_shape() {
 
 #[test]
 fn thread_count_does_not_change_results() {
-    // pair scoring is chunked across workers; joins are ordered, so the
-    // mappings and the per-link provenance must be bit-identical
+    // pair scoring is chunked across workers, sharded by blocking key or
+    // run serially with similarity tables; joins and shard merges are
+    // ordered, so the mappings and the per-link provenance must be
+    // bit-identical in every mode
     let series = small_series(5);
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
-    let run = |threads: usize| {
+    let run = |threads: usize, shards: usize, parallel_cutoff: usize| {
         let config = LinkageConfig {
             threads,
+            shards,
+            parallel_cutoff,
             ..LinkageConfig::default()
         };
         link(old, new, &config)
     };
-    let base = run(1);
+    let default_cutoff = LinkageConfig::default().parallel_cutoff;
+    let base = run(1, 1, default_cutoff);
     assert!(!base.records.is_empty());
+    let rec = |x: &temporal_census_linkage::linkage::LinkageResult| {
+        x.records.iter().collect::<std::collections::BTreeSet<_>>()
+    };
+    let grp = |x: &temporal_census_linkage::linkage::LinkageResult| {
+        x.groups.iter().collect::<std::collections::BTreeSet<_>>()
+    };
     for threads in [2, 8] {
-        let r = run(threads);
-        let rec = |x: &temporal_census_linkage::linkage::LinkageResult| {
-            x.records.iter().collect::<std::collections::BTreeSet<_>>()
-        };
-        let grp = |x: &temporal_census_linkage::linkage::LinkageResult| {
-            x.groups.iter().collect::<std::collections::BTreeSet<_>>()
-        };
-        assert_eq!(rec(&base), rec(&r), "records differ at {threads} threads");
-        assert_eq!(grp(&base), grp(&r), "groups differ at {threads} threads");
-        assert_eq!(
-            base.provenance, r.provenance,
-            "provenance differs at {threads} threads"
+        // shards 0 resolves to at least the thread count: the sharded
+        // engine; cutoff 0 forces the parallel kernel on every pass
+        for shards in [1, 0] {
+            for cutoff in [default_cutoff, 0] {
+                let mode = format!("{threads} threads, shards {shards}, cutoff {cutoff}");
+                let r = run(threads, shards, cutoff);
+                assert_eq!(rec(&base), rec(&r), "records differ at {mode}");
+                assert_eq!(grp(&base), grp(&r), "groups differ at {mode}");
+                assert_eq!(
+                    base.provenance, r.provenance,
+                    "provenance differs at {mode}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn prematch_matches_the_per_pair_oracle() {
+    // the batch kernel behind `prematch` must reproduce the per-pair
+    // early-exit scorer bit for bit, serially (with similarity tables)
+    // and in parallel (with tile-local dedup)
+    use temporal_census_linkage::linkage::{
+        candidate_pairs, prematch, BlockingStrategy, DEFAULT_PARALLEL_CUTOFF,
+    };
+    let series = generate_series(&SimConfig::small());
+    let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
+    let old_recs: Vec<&PersonRecord> = old.records().iter().collect();
+    let new_recs: Vec<&PersonRecord> = new.records().iter().collect();
+    let year_gap = i64::from(new.year - old.year);
+    let sim = SimFunc::default();
+
+    let pairs = candidate_pairs(&old_recs, &new_recs, year_gap, BlockingStrategy::Standard);
+    assert!(
+        pairs.len() >= DEFAULT_PARALLEL_CUTOFF,
+        "{} pairs cannot reach the parallel kernel",
+        pairs.len()
+    );
+    let old_profiles: Vec<_> = old_recs.iter().map(|r| sim.compile(r)).collect();
+    let new_profiles: Vec<_> = new_recs.iter().map(|r| sim.compile(r)).collect();
+    let oracle: std::collections::HashMap<(RecordId, RecordId), u64> = pairs
+        .iter()
+        .filter_map(|&(i, j)| {
+            let (i, j) = (i as usize, j as usize);
+            sim.matches_compiled(&old_profiles[i], &new_profiles[j])
+                .map(|s| ((old_recs[i].id, new_recs[j].id), s.to_bits()))
+        })
+        .collect();
+    assert!(!oracle.is_empty());
+
+    for threads in [1, 4] {
+        let pm = prematch(
+            &old_recs,
+            &new_recs,
+            year_gap,
+            &sim,
+            BlockingStrategy::Standard,
+            threads,
+            None,
         );
+        let got: std::collections::HashMap<(RecordId, RecordId), u64> = pm
+            .pair_sims
+            .iter()
+            .map(|(&pair, s)| (pair, s.to_bits()))
+            .collect();
+        assert_eq!(got.len(), oracle.len(), "match count at {threads} threads");
+        assert!(got == oracle, "pair scores diverged at {threads} threads");
     }
 }
 
