@@ -73,11 +73,19 @@ impl Default for SelectionWeights {
 
 /// Compute the three component scores of a subgraph.
 ///
-/// `fallback_sim` is used as the record similarity of a vertex pair that
-/// was clustered together transitively without a direct match pair (its
-/// direct similarity is unknown but at least threshold-adjacent).
+/// `positions` holds each vertex's `(old, new)` record position in
+/// `pre`'s index space, parallel to `sub.vertices`. `fallback_sim` is
+/// used as the record similarity of a vertex pair that was clustered
+/// together transitively without a direct match pair (its direct
+/// similarity is unknown but at least threshold-adjacent).
 #[must_use]
-pub fn score_subgraph(sub: &MatchedSubgraph, pre: &PreMatch, fallback_sim: f64) -> GroupScore {
+pub fn score_subgraph(
+    sub: &MatchedSubgraph,
+    positions: &[(u32, u32)],
+    pre: &PreMatch,
+    fallback_sim: f64,
+) -> GroupScore {
+    debug_assert_eq!(positions.len(), sub.vertices.len());
     if sub.vertices.is_empty() {
         return GroupScore {
             avg_sim: 0.0,
@@ -86,10 +94,9 @@ pub fn score_subgraph(sub: &MatchedSubgraph, pre: &PreMatch, fallback_sim: f64) 
         };
     }
     // Eq. 5: average record similarity
-    let sum_sim: f64 = sub
-        .vertices
+    let sum_sim: f64 = positions
         .iter()
-        .map(|&(o, n)| pre.pair_sims.get(&(o, n)).copied().unwrap_or(fallback_sim))
+        .map(|&(p, q)| pre.sim(p as usize, q as usize).unwrap_or(fallback_sim))
         .sum();
     let avg_sim = sum_sim / sub.vertices.len() as f64;
 
@@ -103,12 +110,11 @@ pub fn score_subgraph(sub: &MatchedSubgraph, pre: &PreMatch, fallback_sim: f64) 
 
     // Eq. 7: uniqueness — 2·|R_sub| over the summed cluster sizes of the
     // vertices' labels
-    let label_mass: u64 = sub
-        .vertices
+    let label_mass: u64 = positions
         .iter()
-        .map(|&(o, _)| {
-            let label = pre.label_old.get(&o).copied().unwrap_or(u64::MAX);
-            u64::from(pre.size_of_label(label))
+        .map(|&(p, _)| {
+            pre.old_label(p as usize)
+                .map_or(0, |label| u64::from(pre.size_of_label(label)))
         })
         .sum();
     let unique = if label_mass == 0 {
@@ -129,6 +135,24 @@ mod tests {
     use super::*;
     use census_model::RecordId;
     use hhgraph::SubgraphEdge;
+
+    /// Positions of the paper example's vertices: old `i` ↔ new `i`.
+    const POS: [(u32, u32); 3] = [(0, 0), (1, 1), (2, 2)];
+
+    /// A pre-matching over three old and `3 · (cluster − 1)` new records
+    /// whose old record `i` matches new record `i` at similarity 1 plus
+    /// `cluster − 2` further new records, so every vertex's label names
+    /// a cluster of `cluster` records.
+    fn prematch_with_clusters(cluster: u32) -> PreMatch {
+        let extra = cluster - 2;
+        let pairs: Vec<(u32, u32, f64)> = (0..3)
+            .flat_map(|i| {
+                let others = (0..extra).map(move |k| (i, 3 + i * extra + k, 0.9));
+                std::iter::once((i, i, 1.0)).chain(others)
+            })
+            .collect();
+        PreMatch::from_sorted_pairs(3, (3 + 3 * extra) as usize, pairs)
+    }
 
     /// Build a synthetic subgraph + prematch mirroring the paper's worked
     /// example (Eq. 8): 3 vertices, 3 perfect edges, |E_i| = 10,
@@ -162,20 +186,13 @@ mod tests {
             old_edge_count: 10,
             new_edge_count: 3,
         };
-        let mut pre = PreMatch::default();
-        for (i, &(o, n)) in sub.vertices.iter().enumerate() {
-            pre.pair_sims.insert((o, n), 1.0);
-            pre.label_old.insert(o, i as u64);
-            pre.label_new.insert(n, i as u64);
-            pre.cluster_size.insert(i as u64, 3);
-        }
-        (sub, pre)
+        (sub, prematch_with_clusters(3))
     }
 
     #[test]
     fn eq8_true_pair_scores() {
         let (sub, pre) = paper_example();
-        let s = score_subgraph(&sub, &pre, 0.5);
+        let s = score_subgraph(&sub, &POS, &pre, 0.5);
         assert!((s.avg_sim - 1.0).abs() < 1e-9);
         assert!((s.e_sim - 2.0 * 3.0 / 13.0).abs() < 1e-9); // 0.4615…
         assert!((s.unique - 2.0 * 3.0 / 9.0).abs() < 1e-9); // 0.666…
@@ -184,16 +201,14 @@ mod tests {
     #[test]
     fn eq8_decoy_pair_scores() {
         // Fig. 4 decoy: 2 vertices kept, 1 edge, |E_i| = 10, |E_{i+1}| = 3
-        let (mut sub, mut pre) = paper_example();
+        let (mut sub, pre) = paper_example();
         sub.vertices.truncate(2);
         sub.edges = vec![SubgraphEdge {
             u: 0,
             v: 1,
             rp_sim: 1.0,
         }];
-        pre.cluster_size.insert(0, 3);
-        pre.cluster_size.insert(1, 3);
-        let s = score_subgraph(&sub, &pre, 0.5);
+        let s = score_subgraph(&sub, &POS[..2], &pre, 0.5);
         assert!((s.avg_sim - 1.0).abs() < 1e-9);
         assert!((s.e_sim - 2.0 / 13.0).abs() < 1e-9); // 0.1538…
         assert!((s.unique - 2.0 * 2.0 / 6.0).abs() < 1e-9); // 0.666…
@@ -211,8 +226,8 @@ mod tests {
             rp_sim: 1.0,
         }];
         let w = SelectionWeights::paper_best();
-        let g_true = w.g_sim(&score_subgraph(&true_sub, &pre, 0.5));
-        let g_decoy = w.g_sim(&score_subgraph(&decoy, &pre, 0.5));
+        let g_true = w.g_sim(&score_subgraph(&true_sub, &POS, &pre, 0.5));
+        let g_decoy = w.g_sim(&score_subgraph(&decoy, &POS[..2], &pre, 0.5));
         assert!(g_true > g_decoy, "{g_true} vs {g_decoy}");
     }
 
@@ -229,29 +244,29 @@ mod tests {
             rp_sim: 1.0,
         }];
         let w = SelectionWeights::new(1.0, 0.0);
-        let g_true = w.g_sim(&score_subgraph(&true_sub, &pre, 0.5));
-        let g_decoy = w.g_sim(&score_subgraph(&decoy, &pre, 0.5));
+        let g_true = w.g_sim(&score_subgraph(&true_sub, &POS, &pre, 0.5));
+        let g_decoy = w.g_sim(&score_subgraph(&decoy, &POS[..2], &pre, 0.5));
         assert!((g_true - g_decoy).abs() < 1e-9);
     }
 
     #[test]
     fn fallback_sim_fills_missing_pairs() {
-        let (sub, mut pre) = paper_example();
-        pre.pair_sims.clear(); // transitive-only clusters
-        let s = score_subgraph(&sub, &pre, 0.6);
+        let (sub, _) = paper_example();
+        // no direct match pairs at all (transitive-only clusters)
+        let pre = PreMatch::from_sorted_pairs(3, 3, []);
+        let s = score_subgraph(&sub, &POS, &pre, 0.6);
         assert!((s.avg_sim - 0.6).abs() < 1e-9);
     }
 
     #[test]
     fn empty_subgraph_scores_zero() {
         let sub = MatchedSubgraph {
-            vertices: vec![],
-            edges: vec![],
             old_edge_count: 10,
             new_edge_count: 3,
+            ..MatchedSubgraph::default()
         };
         let pre = PreMatch::default();
-        let s = score_subgraph(&sub, &pre, 0.5);
+        let s = score_subgraph(&sub, &[], &pre, 0.5);
         assert_eq!(s.avg_sim, 0.0);
         assert_eq!(s.e_sim, 0.0);
         assert_eq!(s.unique, 0.0);
@@ -259,11 +274,9 @@ mod tests {
 
     #[test]
     fn uniqueness_is_one_for_exclusive_labels() {
-        let (sub, mut pre) = paper_example();
-        for l in 0..3u64 {
-            pre.cluster_size.insert(l, 2); // only the pair itself
-        }
-        let s = score_subgraph(&sub, &pre, 0.5);
+        let (sub, _) = paper_example();
+        let pre = prematch_with_clusters(2); // only the pair itself
+        let s = score_subgraph(&sub, &POS, &pre, 0.5);
         assert!((s.unique - 1.0).abs() < 1e-9);
     }
 
@@ -279,14 +292,12 @@ mod tests {
         let _ = SelectionWeights::new(0.8, 0.8);
     }
 
-    /// Missing labels behave like infinite-mass clusters (u64::MAX label
-    /// has size 0 → label_mass 0 for that vertex) — guard the division.
+    /// Positions outside the pre-matching have no label and add no
+    /// label mass — guard the division.
     #[test]
     fn missing_labels_do_not_divide_by_zero() {
-        let (sub, mut pre) = paper_example();
-        pre.label_old.clear();
-        pre.cluster_size.clear();
-        let s = score_subgraph(&sub, &pre, 0.5);
+        let (sub, _) = paper_example();
+        let s = score_subgraph(&sub, &POS, &PreMatch::default(), 0.5);
         assert_eq!(s.unique, 0.0);
     }
 }

@@ -38,6 +38,7 @@
 mod blocking;
 mod cluster;
 mod config;
+mod csr;
 mod group_sim;
 mod linker;
 mod mem;
@@ -59,7 +60,7 @@ pub use config::{LinkageConfig, Parallelism, RemainderConfig, DEFAULT_PARALLEL_C
 pub use group_sim::{score_subgraph, GroupScore, SelectionWeights};
 pub use linker::Linker;
 pub use mem::MemGovernor;
-pub use pairscore::PairScoreCache;
+pub use pairscore::{PairScoreCache, Residue};
 pub use pipeline::{link, link_series, link_traced, IterationStats, LinkPhase, LinkageResult};
 pub use prematch::{prematch, prematch_with_profiles, PreMatch};
 pub use profiles::ProfileCache;

@@ -6,9 +6,10 @@
 //! lets each [`Linker::run`] reuse them.
 
 use crate::config::{LinkageConfig, Parallelism};
+use crate::csr::MergeRows;
 use crate::mem::MemGovernor;
-use crate::pairscore::PairScoreCache;
-use crate::prematch::{build_prematch, prematch_with_profiles, PreMatch};
+use crate::pairscore::{PairScoreCache, Residue};
+use crate::prematch::{score_matches, PreMatch};
 use crate::profiles::ProfileCache;
 use crate::remainder::match_remaining_cached;
 use crate::selection::{select_and_extract, RejectReason, ScoredSubgroup, SelectionOutcome};
@@ -28,42 +29,58 @@ use obs::{
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-/// Injects confirmed record links into a [`PreMatch`] as high-confidence
-/// anchors, so later iterations see them as matched clusters. Each
-/// anchor pair is assigned a label on first sight and keeps that label
-/// for the rest of the run, regardless of how the confirmed-link set
-/// grows or how its iteration order shifts.
-#[derive(Debug, Default)]
-pub(crate) struct AnchorInjector {
-    labels: HashMap<(RecordId, RecordId), u64>,
+/// Graph slot of a record no enriched graph holds.
+const NO_GRAPH: u32 = u32::MAX;
+
+/// The enriched graphs of one snapshot in record-position space: each
+/// graph's node positions (in [`CensusDataset::records`] order, which is
+/// the pre-matching's index space) as compressed rows, and the inverse —
+/// the graph each position belongs to. Built once per [`Linker`] through
+/// the dataset's id index, so the per-iteration loops never look a
+/// record id up, whatever the id space looks like.
+struct GraphPositions {
+    /// `start[g]..start[g + 1]` is graph `g`'s slice of `pos`.
+    start: Vec<u32>,
+    /// Node positions, graph after graph, in node order.
+    pos: Vec<u32>,
+    /// Graph index of each record position ([`NO_GRAPH`] = none).
+    graph_of: Vec<u32>,
 }
 
-impl AnchorInjector {
-    /// Labels at or above this base mark anchor pairs; they cannot
-    /// collide with union-find roots, which are bounded by the record
-    /// count.
-    const BASE: u64 = 1 << 40;
-
-    fn new() -> Self {
-        Self::default()
-    }
-
-    /// The stable label of an anchor pair, assigned on first sight.
-    fn label_for(&mut self, o: RecordId, n: RecordId) -> u64 {
-        let next = Self::BASE + self.labels.len() as u64;
-        *self.labels.entry((o, n)).or_insert(next)
-    }
-
-    /// Insert every confirmed link of `records` into `pm` as a
-    /// two-record cluster with similarity 1.0.
-    fn inject(&mut self, pm: &mut PreMatch, records: &RecordMapping) {
-        for (o, n) in records.iter() {
-            let label = self.label_for(o, n);
-            pm.label_old.insert(o, label);
-            pm.label_new.insert(n, label);
-            pm.cluster_size.insert(label, 2);
-            pm.pair_sims.insert((o, n), 1.0);
+impl GraphPositions {
+    fn build(ds: &CensusDataset, graphs: &[EnrichedGraph]) -> Self {
+        let mut start = Vec::with_capacity(graphs.len() + 1);
+        start.push(0);
+        let mut pos = Vec::with_capacity(ds.records().len());
+        let mut graph_of = vec![NO_GRAPH; ds.records().len()];
+        for (gi, g) in graphs.iter().enumerate() {
+            for &r in g.nodes() {
+                let p = ds.position(r).expect("graph nodes are dataset records");
+                pos.push(p as u32);
+                graph_of[p] = gi as u32;
+            }
+            start.push(pos.len() as u32);
         }
+        Self {
+            start,
+            pos,
+            graph_of,
+        }
+    }
+
+    /// The record positions of graph `g`'s nodes, in node order.
+    fn nodes(&self, g: usize) -> &[u32] {
+        &self.pos[self.start[g] as usize..self.start[g + 1] as usize]
+    }
+}
+
+impl MemoryFootprint for GraphPositions {
+    fn footprint(&self) -> Footprint {
+        use obs::footprint::vec_capacity_bytes as cap;
+        Footprint::new(
+            cap(&self.start) + cap(&self.pos) + cap(&self.graph_of),
+            self.pos.len() as u64,
+        )
     }
 }
 
@@ -73,86 +90,8 @@ pub struct Linker<'a> {
     new: &'a CensusDataset,
     old_graphs: Vec<EnrichedGraph>,
     new_graphs: Vec<EnrichedGraph>,
-    old_gidx: HashMap<HouseholdId, usize>,
-    new_gidx: HashMap<HouseholdId, usize>,
-    /// Enriched-graph index by record raw id (`u32::MAX` = no graph) —
-    /// empty when the dataset's ids are too sparse to index densely.
-    old_graph_of: Vec<u32>,
-    new_graph_of: Vec<u32>,
-}
-
-/// Dense-array size for indexing records by raw id, or `None` when the
-/// id space is too sparse for an array to be worthwhile.
-fn dense_id_span(records: &[PersonRecord]) -> Option<usize> {
-    let max = records.iter().map(|r| r.id.raw()).max()?;
-    (max < records.len() as u64 * 8 + 1024).then(|| max as usize + 1)
-}
-
-/// Record-raw-id → enriched-graph-index array (`u32::MAX` = none), or
-/// empty when ids are sparse. Record ids are snapshot-local and dense in
-/// practice, so the hot per-iteration loops probe this array instead of
-/// hashing record ids.
-fn graph_of(records: &[PersonRecord], graphs: &[EnrichedGraph]) -> Vec<u32> {
-    let Some(span) = dense_id_span(records) else {
-        return Vec::new();
-    };
-    let mut v = vec![u32::MAX; span];
-    for (gi, g) in graphs.iter().enumerate() {
-        for r in g.nodes() {
-            if let Some(slot) = v.get_mut(r.raw() as usize) {
-                *slot = gi as u32;
-            }
-        }
-    }
-    v
-}
-
-/// Dense array views of a [`PreMatch`]'s label maps, indexed by record
-/// raw id (`u64::MAX` = unlabelled; real labels are union-find roots or
-/// anchor labels, both far below the sentinel). Built once per iteration;
-/// a `None` side falls back to the hash map, so lookups agree with `pm`
-/// exactly either way.
-struct LabelViews {
-    old: Option<Vec<u64>>,
-    new: Option<Vec<u64>>,
-}
-
-impl LabelViews {
-    fn build(pm: &crate::PreMatch, old_span: Option<usize>, new_span: Option<usize>) -> Self {
-        fn view(labels: &HashMap<RecordId, u64>, span: Option<usize>) -> Option<Vec<u64>> {
-            let mut v = vec![u64::MAX; span?];
-            for (r, l) in labels {
-                *v.get_mut(r.raw() as usize)? = *l;
-            }
-            Some(v)
-        }
-        Self {
-            old: view(&pm.label_old, old_span),
-            new: view(&pm.label_new, new_span),
-        }
-    }
-
-    #[inline]
-    fn old_label(&self, pm: &crate::PreMatch, r: RecordId) -> Option<u64> {
-        match &self.old {
-            Some(v) => {
-                let l = *v.get(r.raw() as usize)?;
-                (l != u64::MAX).then_some(l)
-            }
-            None => pm.label_old.get(&r).copied(),
-        }
-    }
-
-    #[inline]
-    fn new_label(&self, pm: &crate::PreMatch, r: RecordId) -> Option<u64> {
-        match &self.new {
-            Some(v) => {
-                let l = *v.get(r.raw() as usize)?;
-                (l != u64::MAX).then_some(l)
-            }
-            None => pm.label_new.get(&r).copied(),
-        }
-    }
+    old_positions: GraphPositions,
+    new_positions: GraphPositions,
 }
 
 /// Emit the decision provenance of one selection round: a
@@ -254,34 +193,26 @@ impl<'a> Linker<'a> {
         let _enrich = obs.span("enrich");
         let old_graphs = EnrichedGraph::build_all(old);
         let new_graphs = EnrichedGraph::build_all(new);
-        let old_gidx = old_graphs
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (g.household, i))
-            .collect();
-        let new_gidx = new_graphs
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (g.household, i))
-            .collect();
-        let old_graph_of = graph_of(old.records(), &old_graphs);
-        let new_graph_of = graph_of(new.records(), &new_graphs);
+        let old_positions = GraphPositions::build(old, &old_graphs);
+        let new_positions = GraphPositions::build(new, &new_graphs);
         if obs.is_enabled() {
             let fp = old_graphs
                 .iter()
                 .chain(new_graphs.iter())
                 .fold(Footprint::ZERO, |acc, g| acc.plus(g.footprint()));
             obs.snapshot_footprint("enriched_graphs", fp);
+            obs.snapshot_footprint(
+                "graph_positions",
+                old_positions.footprint().plus(new_positions.footprint()),
+            );
         }
         Self {
             old,
             new,
             old_graphs,
             new_graphs,
-            old_gidx,
-            new_gidx,
-            old_graph_of,
-            new_graph_of,
+            old_positions,
+            new_positions,
         }
     }
 
@@ -297,20 +228,50 @@ impl<'a> Linker<'a> {
         &self.new_graphs
     }
 
+    /// Candidate group pairs: households connected by at least one match
+    /// pair of `pm` (anchors included), sorted by household ids. Walks
+    /// the match rows of each old graph's node positions, mapping the
+    /// matched new positions to their graphs.
+    fn household_candidates(&self, pm: &PreMatch) -> Vec<GroupCandidate> {
+        let mut out = Vec::new();
+        let mut new_graphs: Vec<u32> = Vec::new();
+        for (gi_o, g_old) in self.old_graphs.iter().enumerate() {
+            new_graphs.clear();
+            for &p in self.old_positions.nodes(gi_o) {
+                // a record listed by two households belongs to the later
+                if self.old_positions.graph_of[p as usize] != gi_o as u32 {
+                    continue;
+                }
+                new_graphs.extend(
+                    pm.matched_new(p as usize)
+                        .iter()
+                        .map(|&q| self.new_positions.graph_of[q as usize])
+                        .filter(|&gi_n| gi_n != NO_GRAPH),
+                );
+            }
+            new_graphs.sort_unstable();
+            new_graphs.dedup();
+            out.extend(new_graphs.iter().map(|&gi_n| {
+                let household = self.new_graphs[gi_n as usize].household;
+                ((g_old.household, household), (gi_o as u32, gi_n))
+            }));
+        }
+        out.sort_unstable();
+        out
+    }
+
     /// Match and score the subgraphs of candidate household pairs,
     /// in parallel across worker threads. Order of the result follows
     /// the (sorted) input order, so runs stay deterministic.
     ///
-    /// `labels` carries dense label views of `pm` (see [`LabelViews`]) so
-    /// the per-candidate hot loop probes arrays instead of hashing
-    /// record ids; lookups through the views agree exactly with `pm`'s
-    /// label maps.
+    /// Graph nodes are looked up in `pm` by their record positions: a
+    /// label read and, for the accept check, a binary search within the
+    /// old record's match row.
     #[allow(clippy::too_many_arguments)] // internal plumbing of run_traced
     fn score_candidates(
         &self,
         cand_list: &[GroupCandidate],
-        pm: &crate::PreMatch,
-        labels: &LabelViews,
+        pm: &PreMatch,
         config: &LinkageConfig,
         par: Parallelism,
         delta: f64,
@@ -320,21 +281,34 @@ impl<'a> Linker<'a> {
         let score_one = |&((go, gn), (gi_o, gi_n)): &GroupCandidate,
                          scratch: &mut SubgraphScratch|
          -> Option<ScoredSubgroup> {
-            let g_old = &self.old_graphs[gi_o as usize];
-            let g_new = &self.new_graphs[gi_n as usize];
+            let old_pos = self.old_positions.nodes(gi_o as usize);
+            let new_pos = self.new_positions.nodes(gi_n as usize);
             let sub = match_subgraph_with(
-                g_old,
-                g_new,
-                |r| labels.old_label(pm, r),
-                |r| labels.new_label(pm, r),
-                |o, n| pm.pair_sims.contains_key(&(o, n)),
+                &self.old_graphs[gi_o as usize],
+                &self.new_graphs[gi_n as usize],
+                |i| pm.old_label(old_pos[i] as usize).map(u64::from),
+                |j| pm.new_label(new_pos[j] as usize).map(u64::from),
+                |i, j| pm.sim(old_pos[i] as usize, new_pos[j] as usize).is_some(),
                 &config.subgraph,
                 scratch,
             );
             if sub.is_empty() {
                 return None;
             }
-            Some(ScoredSubgroup::new(go, gn, sub, pm, config.weights, delta))
+            let positions = scratch
+                .vertex_nodes()
+                .iter()
+                .map(|&(i, j)| (old_pos[i], new_pos[j]))
+                .collect();
+            Some(ScoredSubgroup::new(
+                go,
+                gn,
+                sub,
+                positions,
+                pm,
+                config.weights,
+                delta,
+            ))
         };
         obs.add(Counter::SubgraphPairsScored, cand_list.len() as u64);
         let threads = par.threads.max(1);
@@ -437,13 +411,18 @@ impl<'a> Linker<'a> {
         // the run to the recompute-every-iteration path (bit-identical)
         let mut incremental = config.incremental;
 
-        let mut remaining_old: Vec<&PersonRecord> = self.old.records().iter().collect();
-        let mut remaining_new: Vec<&PersonRecord> = self.new.records().iter().collect();
+        // every pass works in record-position space: the residue is the
+        // two snapshots with the linked records marked, and the pair
+        // cache, the pre-matching and the graph positions index the same
+        // positions
+        let all_old: Vec<&PersonRecord> = self.old.records().iter().collect();
+        let all_new: Vec<&PersonRecord> = self.new.records().iter().collect();
+        let mut residue = Residue::new(&all_old, &all_new);
+        let (n_old, n_new) = (all_old.len(), all_new.len());
         let mut records = RecordMapping::new();
         let mut groups = GroupMapping::new();
         let mut iterations = Vec::new();
         let mut provenance = HashMap::new();
-        let mut anchors = AnchorInjector::new();
 
         // compiled profiles are δ-independent: build each residue
         // record's profile once and reuse it across the whole schedule
@@ -474,12 +453,14 @@ impl<'a> Linker<'a> {
             let pm = {
                 let _prematch = obs.span("prematch");
                 if incremental && pair_cache.is_none() {
+                    // the first iteration: nothing is linked yet, so the
+                    // cache is built over the whole residue index space
                     let build_sim = config.sim_func.with_threshold(floor);
                     let (old_profiles, new_profiles) =
-                        cache.profiles(&build_sim, &remaining_old, &remaining_new);
+                        cache.profiles(&build_sim, &all_old, &all_new);
                     pair_cache = PairScoreCache::build(
-                        &remaining_old,
-                        &remaining_new,
+                        &all_old,
+                        &all_new,
                         &old_profiles,
                         &new_profiles,
                         year_gap,
@@ -493,21 +474,31 @@ impl<'a> Linker<'a> {
                     // governor refused the cache: recompute per iteration
                     incremental = pair_cache.is_some();
                 }
-                let mut pm = if incremental {
+                // confirmed links ride along as anchors: two-record
+                // clusters with similarity 1.0, so later iterations see
+                // them as matched
+                let pm = if incremental {
                     let pc = pair_cache.as_ref().expect("pair cache just built");
-                    let matches = pc.select_traced(delta, &remaining_old, &remaining_new, obs);
+                    let pm = PreMatch::from_sorted_pairs(
+                        n_old,
+                        n_new,
+                        MergeRows::new(pc.select_iter(delta, &residue), residue.anchors()),
+                    );
                     if iter_idx > 0 {
-                        obs.add(Counter::PairCacheHits, matches.len() as u64);
-                        obs.add(
-                            Counter::PairCacheFiltered,
-                            (pc.len() - matches.len()) as u64,
-                        );
+                        let hits = pm.match_count() - residue.linked();
+                        obs.add(Counter::PairCacheHits, hits as u64);
+                        obs.add(Counter::PairCacheFiltered, (pc.len() - hits) as u64);
                     }
-                    build_prematch(&remaining_old, &remaining_new, &matches)
+                    pm
                 } else {
+                    let (old_pos, new_pos) = (residue.unlinked_old(), residue.unlinked_new());
+                    let remaining_old: Vec<&PersonRecord> =
+                        old_pos.iter().map(|&p| all_old[p as usize]).collect();
+                    let remaining_new: Vec<&PersonRecord> =
+                        new_pos.iter().map(|&q| all_new[q as usize]).collect();
                     let (old_profiles, new_profiles) =
-                        cache.profiles(&sim, &remaining_old, &remaining_new);
-                    prematch_with_profiles(
+                        cache.profiles_at(&sim, &all_old, &all_new, &old_pos, &new_pos);
+                    let matches = score_matches(
                         &remaining_old,
                         &remaining_new,
                         &old_profiles,
@@ -519,6 +510,16 @@ impl<'a> Linker<'a> {
                         config.prematch_max_age_gap,
                         &mem,
                         obs,
+                    );
+                    // residue index → record position is increasing, so
+                    // the matches stay sorted
+                    let matches = matches
+                        .iter()
+                        .map(|&(i, j, s)| (old_pos[i as usize], new_pos[j as usize], s));
+                    PreMatch::from_sorted_pairs(
+                        n_old,
+                        n_new,
+                        MergeRows::new(matches, residue.anchors()),
                     )
                 };
                 if obs.is_enabled() {
@@ -526,55 +527,16 @@ impl<'a> Linker<'a> {
                         obs.snapshot_footprint("pair_score_cache", pc.footprint());
                     }
                     obs.snapshot_footprint("profile_cache", cache.footprint());
+                    obs.snapshot_footprint("prematch", pm.footprint());
+                    obs.snapshot_footprint("residue", residue.footprint());
                 }
-
-                // inject confirmed links as high-confidence anchors
-                anchors.inject(&mut pm, &records);
                 pm
             };
 
             let candidates = {
                 let _subgraph = obs.span("subgraph");
-                // candidate group pairs: households connected by ≥1 match
-                // pair, sorted and deduplicated (deterministic order)
-                let dense = !self.old_graph_of.is_empty() && !self.new_graph_of.is_empty();
-                let mut cand_list: Vec<GroupCandidate> = if dense {
-                    pm.pair_sims
-                        .keys()
-                        .filter_map(|&(o, n)| {
-                            let gi_o = *self.old_graph_of.get(o.raw() as usize)?;
-                            let gi_n = *self.new_graph_of.get(n.raw() as usize)?;
-                            (gi_o != u32::MAX && gi_n != u32::MAX).then(|| {
-                                (
-                                    (
-                                        self.old_graphs[gi_o as usize].household,
-                                        self.new_graphs[gi_n as usize].household,
-                                    ),
-                                    (gi_o, gi_n),
-                                )
-                            })
-                        })
-                        .collect()
-                } else {
-                    pm.pair_sims
-                        .keys()
-                        .filter_map(|&(o, n)| {
-                            let (ro, rn) = (self.old.record(o)?, self.new.record(n)?);
-                            let gi_o = *self.old_gidx.get(&ro.household)?;
-                            let gi_n = *self.new_gidx.get(&rn.household)?;
-                            Some(((ro.household, rn.household), (gi_o as u32, gi_n as u32)))
-                        })
-                        .collect()
-                };
-                cand_list.sort_unstable();
-                cand_list.dedup();
-
-                let labels = LabelViews::build(
-                    &pm,
-                    (!self.old_graph_of.is_empty()).then_some(self.old_graph_of.len()),
-                    (!self.new_graph_of.is_empty()).then_some(self.new_graph_of.len()),
-                );
-                self.score_candidates(&cand_list, &pm, &labels, config, par, delta, iter_idx, obs)
+                let cand_list = self.household_candidates(&pm);
+                self.score_candidates(&cand_list, &pm, config, par, delta, iter_idx, obs)
             };
 
             let _selection = obs.span("selection");
@@ -634,9 +596,9 @@ impl<'a> Linker<'a> {
                 record_links,
             });
 
-            if record_links > 0 {
-                remaining_old.retain(|r| !records.contains_old(r.id));
-                remaining_new.retain(|r| !records.contains_new(r.id));
+            for &(o, n, idx) in &outcome.added {
+                let (p, q) = candidates[idx].position_of(o, n);
+                residue.link(p, q);
             }
             obs.snapshot_decision_footprint();
             drop(_selection);
@@ -655,9 +617,12 @@ impl<'a> Linker<'a> {
         // funnel's lost_remainder / lost_selection boundary
         let remainder_entry: Option<(HashSet<RecordId>, HashSet<RecordId>)> =
             obs.truth_enabled().then(|| {
+                let ids = |pos: Vec<u32>, records: &[&PersonRecord]| {
+                    pos.iter().map(|&p| records[p as usize].id).collect()
+                };
                 (
-                    remaining_old.iter().map(|r| r.id).collect(),
-                    remaining_new.iter().map(|r| r.id).collect(),
+                    ids(residue.unlinked_old(), &all_old),
+                    ids(residue.unlinked_new(), &all_new),
                 )
             });
         let remainder_added = {
@@ -665,8 +630,7 @@ impl<'a> Linker<'a> {
             match_remaining_cached(
                 self.old,
                 self.new,
-                &remaining_old,
-                &remaining_new,
+                &residue,
                 &config.remainder,
                 config.blocking,
                 par,
@@ -761,44 +725,34 @@ mod tests {
     }
 
     #[test]
-    fn anchor_labels_stay_stable_across_iterations() {
-        use census_model::RecordId;
-        let mut anchors = AnchorInjector::new();
-        let mut records = RecordMapping::new();
-        records.insert(RecordId(3), RecordId(30));
-        records.insert(RecordId(1), RecordId(10));
-
-        let mut pm1 = crate::PreMatch::default();
-        anchors.inject(&mut pm1, &records);
-        let first: std::collections::HashMap<_, _> = records
-            .iter()
-            .map(|(o, n)| ((o, n), pm1.label_old[&o]))
+    fn anchors_form_two_record_clusters() {
+        use census_model::{HouseholdId, Role};
+        let recs: Vec<PersonRecord> = (0..4)
+            .map(|i| PersonRecord::empty(RecordId(i), HouseholdId(0), Role::Head))
             .collect();
-        for (&(o, n), &label) in &first {
-            assert!(label >= AnchorInjector::BASE);
-            assert_eq!(pm1.label_new[&n], label);
-            assert_eq!(pm1.cluster_size[&label], 2);
-            assert_eq!(pm1.pair_sims[&(o, n)], 1.0);
+        let refs: Vec<&PersonRecord> = recs.iter().collect();
+        let mut residue = Residue::new(&refs, &refs);
+        residue.link(3, 1);
+        residue.link(1, 3);
+        // the unlinked records 0 and 2 match new 0 and new 2
+        let matches = [(0, 0, 0.8), (0, 2, 0.75), (2, 2, 0.9)];
+        let pm = PreMatch::from_sorted_pairs(
+            4,
+            4,
+            MergeRows::new(matches.into_iter(), residue.anchors()),
+        );
+        assert_eq!(pm.match_count(), 5);
+        for (p, q) in [(3, 1), (1, 3)] {
+            let label = pm.old_label(p).unwrap();
+            assert_eq!(pm.new_label(q), Some(label));
+            assert_eq!(pm.size_of_label(label), 2);
+            assert_eq!(pm.sim(p, q), Some(1.0));
         }
-
-        // a later iteration confirmed more links; the earlier anchors
-        // must keep their labels even though the mapping (and its
-        // iteration order) changed
-        records.insert(RecordId(0), RecordId(40));
-        records.insert(RecordId(2), RecordId(20));
-        let mut pm2 = crate::PreMatch::default();
-        anchors.inject(&mut pm2, &records);
-        for (&(o, n), &label) in &first {
-            assert_eq!(
-                pm2.label_old[&o], label,
-                "anchor {o}->{n} changed label between iterations"
-            );
-            assert_eq!(pm2.label_new[&n], label);
-        }
-        // every confirmed link is anchored, under distinct labels
-        let labels: std::collections::HashSet<u64> =
-            records.iter().map(|(o, _)| pm2.label_old[&o]).collect();
-        assert_eq!(labels.len(), records.len());
+        assert_ne!(pm.old_label(3), pm.old_label(1));
+        // the matches cluster transitively: old 0, 2 and new 0, 2
+        let l = pm.old_label(0).unwrap();
+        assert_eq!(pm.old_label(2), Some(l));
+        assert_eq!(pm.size_of_label(l), 4);
     }
 
     #[test]

@@ -21,8 +21,17 @@
 //! | pair-score cache     | 50%    | re-block + re-score per δ step    |
 //! | decision log         | 12.5%  | earlier record-cap truncation     |
 //!
-//! The remaining 12.5% is headroom for the structures the governor does
-//! not control (enriched graphs, residue indexes, the result itself).
+//! The remaining 12.5% is not governed. It covers the structures with
+//! no compute-everything fallback: the enriched graphs and their
+//! position index, the residue, each iteration's dense pre-matching
+//! (12 bytes a match pair plus 12 a record) and the result itself —
+//! and the transients of pair scoring, which are not small. Before the
+//! scoring tiles were bounded, the batch kernel's tile scratch was the
+//! largest transient of a paper-scale run (~85 MiB per worker); it is
+//! now bounded by `BATCH_TILE_PAIRS` per worker (~6 MiB), next to the
+//! kernel's output (16 bytes a match) and the blocked pairs (8 bytes a
+//! pair) while the cache is assembled. Every one of these is snapshotted
+//! as a footprint, so a traced run shows what the share had to hold.
 //! When the counting allocator is tracking (see `obs::alloc`), shares
 //! are computed against the *remaining* budget (`budget − live bytes`)
 //! so a run that already sits near its budget degrades earlier.
@@ -37,9 +46,11 @@ pub struct MemGovernor {
 }
 
 impl MemGovernor {
-    /// Estimated bytes of one pair-score cache entry:
-    /// `(RecordId, RecordId, f64)`.
-    pub const PAIR_ENTRY_BYTES: u64 = 24;
+    /// Bytes of one pair-score cache entry: a `u32` new position and an
+    /// `f64` score in the cache's compressed rows (the per-record row
+    /// offsets are not counted — they are linear in the records, not the
+    /// pairs the gate is about).
+    pub const PAIR_ENTRY_BYTES: u64 = 12;
 
     /// Estimated bytes of one sim-table cell: an `f64` score plus its
     /// filled-bitset bit, rounded up.
@@ -150,9 +161,9 @@ mod tests {
         let g = MemGovernor::new(Some(1 << 20));
         // 6 tables share 256 KiB at 9 bytes/cell
         assert_eq!(g.sim_table_max_cells(6), (1 << 18) / 6 / 9);
-        // 50% share / 24 bytes per entry
-        assert!(g.allow_pair_cache((1 << 19) / 24));
-        assert!(!g.allow_pair_cache((1 << 19) / 24 + 1));
+        // 50% share / 12 bytes per entry
+        assert!(g.allow_pair_cache((1 << 19) / 12));
+        assert!(!g.allow_pair_cache((1 << 19) / 12 + 1));
         let (cfg, tightened) = g.decision_caps(DecisionConfig::default());
         assert!(tightened);
         assert_eq!(cfg.max_links, (1 << 17) / 256);

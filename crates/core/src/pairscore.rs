@@ -6,11 +6,13 @@
 //! re-score the residue at every δ step. [`PairScoreCache`] scores every
 //! blocked candidate pair **once**, with the acceptance threshold
 //! lowered to the schedule's floor (keeping early-exit pruning, now
-//! against that floor), and keeps every pair that reaches the floor in a
-//! compact vec sorted by `(old id, new id)`. Each later iteration is
-//! then a filter-only pass — cached pairs with `agg_sim ≥ δ_current`
-//! whose endpoints are still unlinked — with zero re-blocking,
-//! re-tokenisation or re-scoring.
+//! against that floor), and keeps every pair that reaches the floor as
+//! compressed rows keyed by the old record's position (12 bytes a pair,
+//! see `crate::csr`). Each later iteration is then a filter-only pass
+//! over the rows of the [`Residue`]'s unlinked records — cached pairs
+//! with `agg_sim ≥ δ_current` whose new endpoint is unlinked too — with
+//! zero re-blocking, re-tokenisation or re-scoring, and no record-id
+//! lookups: the residue marks linked records by position.
 //!
 //! ## Why the filter is exact
 //!
@@ -35,63 +37,125 @@
 
 use crate::blocking::BlockingStrategy;
 use crate::config::Parallelism;
+use crate::csr::MatchCsr;
 use crate::mem::MemGovernor;
 use crate::prematch::{age_plausible, Blocked};
 use crate::simfunc::{AttributeSpec, CompiledProfile, SimFunc};
 use census_model::{PersonRecord, RecordId};
 use obs::{Collector, Counter, Footprint, MemoryFootprint};
-use std::collections::HashMap;
 
-/// Record-id → residue-index lookup for the per-δ filter passes. Record
-/// ids are snapshot-local and dense in practice, so the filter probes an
-/// array (`u32::MAX` = not in the residue) instead of hashing every
-/// cached entry's endpoints; sparse id spaces fall back to a hash map.
-enum ResidueIndex {
-    Dense(Vec<u32>),
-    Sparse(HashMap<RecordId, u32>),
+/// Partner slot of a record that is not linked yet.
+const UNLINKED: u32 = u32::MAX;
+
+/// The records the iterative driver links, in one fixed index space: the
+/// slices a [`PairScoreCache`] is built over, with the records already
+/// linked paired up. Positions index [`Residue::old_records`] and
+/// [`Residue::new_records`]. The unlinked records are the residue the
+/// next pass draws from; the linked pairs are the anchors a
+/// [`crate::PreMatch`] carries.
+#[derive(Debug, Clone)]
+pub struct Residue<'r> {
+    old: Vec<&'r PersonRecord>,
+    new: Vec<&'r PersonRecord>,
+    /// New position each old record is linked to ([`UNLINKED`] if none).
+    partner_old: Vec<u32>,
+    /// Old position each new record is linked to ([`UNLINKED`] if none).
+    partner_new: Vec<u32>,
 }
 
-impl ResidueIndex {
-    fn build(records: &[&PersonRecord]) -> Self {
-        let max = records.iter().map(|r| r.id.raw()).max().unwrap_or(0);
-        if max < records.len() as u64 * 8 + 1024 {
-            let mut v = vec![u32::MAX; max as usize + 1];
-            for (i, r) in records.iter().enumerate() {
-                v[r.id.raw() as usize] = i as u32;
-            }
-            Self::Dense(v)
-        } else {
-            Self::Sparse(
-                records
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| (r.id, i as u32))
-                    .collect(),
-            )
+impl<'r> Residue<'r> {
+    /// A residue over `old × new` with nothing linked yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a side holds `u32::MAX` records or more.
+    #[must_use]
+    pub fn new(old: &[&'r PersonRecord], new: &[&'r PersonRecord]) -> Self {
+        assert!(
+            old.len() < UNLINKED as usize && new.len() < UNLINKED as usize,
+            "record positions must fit u32"
+        );
+        Self {
+            old: old.to_vec(),
+            new: new.to_vec(),
+            partner_old: vec![UNLINKED; old.len()],
+            partner_new: vec![UNLINKED; new.len()],
         }
     }
 
-    #[inline]
-    fn get(&self, id: RecordId) -> Option<u32> {
-        match self {
-            Self::Dense(v) => {
-                let i = *v.get(id.raw() as usize)?;
-                (i != u32::MAX).then_some(i)
-            }
-            Self::Sparse(m) => m.get(&id).copied(),
-        }
+    /// Every old record, linked or not, by position.
+    #[must_use]
+    pub fn old_records(&self) -> &[&'r PersonRecord] {
+        &self.old
+    }
+
+    /// Every new record, linked or not, by position.
+    #[must_use]
+    pub fn new_records(&self) -> &[&'r PersonRecord] {
+        &self.new
+    }
+
+    /// Record the link of old position `p` to new position `q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either record is linked already (links are 1:1).
+    pub fn link(&mut self, p: u32, q: u32) {
+        assert!(
+            self.partner_old[p as usize] == UNLINKED && self.partner_new[q as usize] == UNLINKED,
+            "record linked twice"
+        );
+        self.partner_old[p as usize] = q;
+        self.partner_new[q as usize] = p;
+    }
+
+    /// Whether old position `p` is linked.
+    pub(crate) fn is_linked_old(&self, p: u32) -> bool {
+        self.partner_old[p as usize] != UNLINKED
+    }
+
+    /// Whether new position `q` is linked.
+    pub(crate) fn is_linked_new(&self, q: u32) -> bool {
+        self.partner_new[q as usize] != UNLINKED
+    }
+
+    /// Number of linked pairs.
+    pub(crate) fn linked(&self) -> usize {
+        self.partner_old.iter().filter(|&&q| q != UNLINKED).count()
+    }
+
+    /// Positions of the unlinked old records, ascending.
+    pub(crate) fn unlinked_old(&self) -> Vec<u32> {
+        unlinked(&self.partner_old)
+    }
+
+    /// Positions of the unlinked new records, ascending.
+    pub(crate) fn unlinked_new(&self) -> Vec<u32> {
+        unlinked(&self.partner_new)
+    }
+
+    /// The linked pairs as `(old, new, 1.0)` anchors, in old order.
+    pub(crate) fn anchors(&self) -> impl Iterator<Item = (u32, u32, f64)> + Clone + '_ {
+        self.partner_old
+            .iter()
+            .enumerate()
+            .filter(|&(_, &q)| q != UNLINKED)
+            .map(|(p, &q)| (p as u32, q, 1.0))
     }
 }
 
-impl MemoryFootprint for ResidueIndex {
+fn unlinked(partner: &[u32]) -> Vec<u32> {
+    (0..partner.len() as u32)
+        .filter(|&p| partner[p as usize] == UNLINKED)
+        .collect()
+}
+
+impl MemoryFootprint for Residue<'_> {
     fn footprint(&self) -> Footprint {
-        match self {
-            Self::Dense(v) => Footprint::new(obs::footprint::vec_capacity_bytes(v), v.len() as u64),
-            Self::Sparse(m) => Footprint::new(
-                obs::footprint::map_bytes(m.len(), std::mem::size_of::<(RecordId, u32)>()),
-                m.len() as u64,
-            ),
-        }
+        use obs::footprint::vec_capacity_bytes as cap;
+        let bytes =
+            cap(&self.old) + cap(&self.new) + cap(&self.partner_old) + cap(&self.partner_new);
+        Footprint::new(bytes, (self.old.len() + self.new.len()) as u64)
     }
 }
 
@@ -105,9 +169,10 @@ pub struct PairScoreCache {
     /// Age-plausibility tolerance applied before scoring, if any.
     tolerance: Option<u32>,
     strategy: BlockingStrategy,
-    /// `(old id, new id, agg_sim)`, sorted by `(old id, new id)` — the
-    /// same order a fresh scoring pass over id-ordered residues yields.
-    entries: Vec<(RecordId, RecordId, f64)>,
+    /// Every pair at or above the floor, as rows keyed by the old
+    /// record's position in the build slices — the `(old, new)` order a
+    /// fresh scoring pass yields.
+    pairs: MatchCsr,
 }
 
 impl PairScoreCache {
@@ -137,48 +202,47 @@ impl PairScoreCache {
         mem: &MemGovernor,
         obs: &Collector,
     ) -> Option<Self> {
-        // the budget gate sees the deduplicated pair count before any
-        // scoring starts
-        let blocked = Blocked::generate(old, new, year_gap, strategy, par, max_age_gap, obs);
-        let n_pairs = blocked.len();
-        if !mem.allow_pair_cache(n_pairs) {
-            obs.add(Counter::MemFallbackPairCache, 1);
-            obs.event(
-                "mem_fallback_pair_cache",
-                format!(
-                    "pair-score cache over {n_pairs} blocked pairs (~{} bytes) exceeds the budget \
-                     share; re-scoring every iteration",
-                    n_pairs as u64 * MemGovernor::PAIR_ENTRY_BYTES
-                ),
-            );
-            return None;
-        }
-        obs.add(Counter::BlockingPairsGenerated, n_pairs as u64);
-        let matches = blocked.score(old_profiles, new_profiles, sim, par, mem, obs);
-        let mut entries: Vec<(RecordId, RecordId, f64)> = matches
-            .into_iter()
-            .map(|(i, j, s)| (old[i as usize].id, new[j as usize].id, s))
-            .collect();
-        entries.sort_unstable_by_key(|e| (e.0, e.1));
+        let matches = {
+            // the budget gate sees the deduplicated pair count before any
+            // scoring starts; the blocked pairs are dropped once scored
+            let blocked = Blocked::generate(old, new, year_gap, strategy, par, max_age_gap, obs);
+            let n_pairs = blocked.len();
+            if !mem.allow_pair_cache(n_pairs) {
+                obs.add(Counter::MemFallbackPairCache, 1);
+                obs.event(
+                    "mem_fallback_pair_cache",
+                    format!(
+                        "pair-score cache over {n_pairs} blocked pairs (~{} bytes) exceeds the \
+                         budget share; re-scoring every iteration",
+                        n_pairs as u64 * MemGovernor::PAIR_ENTRY_BYTES
+                    ),
+                );
+                return None;
+            }
+            obs.add(Counter::BlockingPairsGenerated, n_pairs as u64);
+            blocked.score(old_profiles, new_profiles, sim, par, mem, obs)
+        };
         Some(Self {
             specs: sim.specs().to_vec(),
             floor: sim.threshold,
             tolerance: max_age_gap,
             strategy,
-            entries,
+            // the kernel's output is already sorted by (old, new): one
+            // linear pass lays it out as rows
+            pairs: MatchCsr::from_sorted(old.len(), matches.iter().copied()),
         })
     }
 
     /// Number of cached pairs (everything at or above the floor).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.pairs.len()
     }
 
     /// Whether the cache holds no pairs.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.pairs.len() == 0
     }
 
     /// The threshold the cache was scored against.
@@ -188,54 +252,26 @@ impl PairScoreCache {
     }
 
     /// Filter-only pre-matching pass: the match pairs a fresh scoring of
-    /// the given residues at `delta` would produce, as `(old index, new
-    /// index, agg_sim)` triples over the residue slices. `delta` must be
-    /// at or above the build floor.
+    /// the residue's unlinked records at `delta` would produce, as `(old
+    /// position, new position, agg_sim)` in the residue's index space,
+    /// sorted by `(old, new)`. The residue must be over the cache's build
+    /// slices, and `delta` at or above the build floor.
     #[must_use]
-    pub fn select(
-        &self,
-        delta: f64,
-        remaining_old: &[&PersonRecord],
-        remaining_new: &[&PersonRecord],
-    ) -> Vec<(u32, u32, f64)> {
-        self.select_traced(delta, remaining_old, remaining_new, &Collector::disabled())
+    pub fn select(&self, delta: f64, residue: &Residue) -> Vec<(u32, u32, f64)> {
+        self.select_iter(delta, residue).collect()
     }
 
-    /// [`PairScoreCache::select`] with the per-iteration residue-index
-    /// footprint snapshotted into `obs`.
-    pub(crate) fn select_traced(
-        &self,
+    /// [`PairScoreCache::select`] as a lazy walk over the unlinked rows.
+    pub(crate) fn select_iter<'s>(
+        &'s self,
         delta: f64,
-        remaining_old: &[&PersonRecord],
-        remaining_new: &[&PersonRecord],
-        obs: &Collector,
-    ) -> Vec<(u32, u32, f64)> {
-        let old_idx = ResidueIndex::build(remaining_old);
-        let new_idx = ResidueIndex::build(remaining_new);
-        if obs.is_enabled() {
-            obs.snapshot_footprint(
-                "residue_index",
-                old_idx.footprint().plus(new_idx.footprint()),
-            );
-        }
-        self.select_inner(delta, &old_idx, &new_idx)
-    }
-
-    fn select_inner(
-        &self,
-        delta: f64,
-        old_idx: &ResidueIndex,
-        new_idx: &ResidueIndex,
-    ) -> Vec<(u32, u32, f64)> {
-        self.entries
-            .iter()
-            .filter_map(|&(o, n, s)| {
-                if s < delta {
-                    return None;
-                }
-                Some((old_idx.get(o)?, new_idx.get(n)?, s))
-            })
-            .collect()
+        residue: &'s Residue,
+    ) -> impl Iterator<Item = (u32, u32, f64)> + Clone + 's {
+        debug_assert_eq!(self.pairs.rows(), residue.old_records().len());
+        (0..self.pairs.rows())
+            .filter(move |&p| !residue.is_linked_old(p as u32))
+            .flat_map(move |p| self.pairs.row_pairs(p))
+            .filter(move |&(_, q, s)| s >= delta && !residue.is_linked_new(q))
     }
 
     /// Whether a remainder pass with this similarity function, age
@@ -252,33 +288,25 @@ impl PairScoreCache {
             && strategy == self.strategy
     }
 
-    /// Serve a remainder pass from the cache: scored residue pairs at or
-    /// above `sim.threshold`, with the remainder's (stricter) age filter
-    /// re-applied. Callers must check [`PairScoreCache::covers`] first.
+    /// Serve a remainder pass from the cache: the residue's unlinked
+    /// pairs at or above `sim.threshold`, with the remainder's (stricter)
+    /// age filter re-applied, as `(agg_sim, old id, new id)`. Callers
+    /// must check [`PairScoreCache::covers`] first.
     #[must_use]
     pub fn select_remainder(
         &self,
         sim: &SimFunc,
         max_age_gap: u32,
         year_gap: i64,
-        remaining_old: &[&PersonRecord],
-        remaining_new: &[&PersonRecord],
+        residue: &Residue,
     ) -> Vec<(f64, RecordId, RecordId)> {
-        let old_by_id: HashMap<RecordId, &PersonRecord> =
-            remaining_old.iter().map(|r| (r.id, *r)).collect();
-        let new_by_id: HashMap<RecordId, &PersonRecord> =
-            remaining_new.iter().map(|r| (r.id, *r)).collect();
-        self.entries
-            .iter()
-            .filter_map(|&(o, n, s)| {
-                if s < sim.threshold {
-                    return None;
-                }
-                let (ro, rn) = (old_by_id.get(&o)?, new_by_id.get(&n)?);
-                if !age_plausible(ro, rn, year_gap, max_age_gap) {
-                    return None;
-                }
-                Some((s, o, n))
+        self.select_iter(sim.threshold, residue)
+            .filter_map(|(p, q, s)| {
+                let (ro, rn) = (
+                    residue.old_records()[p as usize],
+                    residue.new_records()[q as usize],
+                );
+                age_plausible(ro, rn, year_gap, max_age_gap).then_some((s, ro.id, rn.id))
             })
             .collect()
     }
@@ -286,9 +314,9 @@ impl PairScoreCache {
 
 impl MemoryFootprint for PairScoreCache {
     fn footprint(&self) -> Footprint {
-        let bytes = obs::footprint::vec_capacity_bytes(&self.entries)
-            + obs::footprint::vec_capacity_bytes(&self.specs);
-        Footprint::new(bytes, self.entries.len() as u64)
+        let pairs = self.pairs.footprint();
+        let bytes = pairs.bytes + obs::footprint::vec_capacity_bytes(&self.specs);
+        Footprint::new(bytes, pairs.elements)
     }
 }
 
@@ -376,12 +404,8 @@ mod tests {
                 &MemGovernor::unlimited(),
                 &Collector::disabled(),
             );
-            let selected = cache.select(delta, &o, &n);
-            let selected_sims: HashMap<(RecordId, RecordId), f64> = selected
-                .iter()
-                .map(|&(i, j, s)| ((o[i as usize].id, n[j as usize].id), s))
-                .collect();
-            assert_eq!(selected_sims, fresh.pair_sims, "δ={delta}");
+            let selected = cache.select(delta, &Residue::new(&o, &n));
+            assert_eq!(selected, fresh.pairs().collect::<Vec<_>>(), "δ={delta}");
         }
     }
 
@@ -413,9 +437,28 @@ mod tests {
         .unwrap();
         assert!(cache.len() >= 2);
         // once john is linked, only the mary pair survives the filter
-        let selected = cache.select(0.5, &[&o2], &[&n2]);
+        let mut residue = Residue::new(&all_o, &all_n);
+        residue.link(0, 0);
+        let selected = cache.select(0.5, &residue);
         assert_eq!(selected.len(), 1);
-        assert_eq!((selected[0].0, selected[0].1), (0, 0)); // residue indices
+        assert_eq!((selected[0].0, selected[0].1), (1, 1)); // record positions
+    }
+
+    #[test]
+    fn residue_tracks_links_and_anchors() {
+        let recs: Vec<PersonRecord> = (0..4).map(|i| rec(i, "john", "ashworth", 30)).collect();
+        let refs: Vec<&PersonRecord> = recs.iter().collect();
+        let mut residue = Residue::new(&refs, &refs[..3]);
+        residue.link(2, 0);
+        residue.link(0, 1);
+        assert!(residue.is_linked_old(0) && !residue.is_linked_old(1));
+        assert!(residue.is_linked_new(1) && !residue.is_linked_new(2));
+        assert_eq!(residue.linked(), 2);
+        assert_eq!(residue.unlinked_old(), [1, 3]);
+        assert_eq!(residue.unlinked_new(), [2]);
+        // anchors come in old-position order, whatever the link order
+        let anchors: Vec<_> = residue.anchors().collect();
+        assert_eq!(anchors, [(0, 1, 1.0), (2, 0, 1.0)]);
     }
 
     #[test]
@@ -480,9 +523,10 @@ mod tests {
         assert_eq!(cache.len(), 1);
         let rem = SimFunc::omega2(0.78);
         assert!(cache.covers(&rem, 3, BlockingStrategy::Full));
-        let scored = cache.select_remainder(&rem, 3, 10, &[&o], &[&n]);
+        let residue = Residue::new(&[&o], &[&n]);
+        let scored = cache.select_remainder(&rem, 3, 10, &residue);
         assert!(scored.is_empty(), "remainder age filter must re-apply");
-        let scored = cache.select_remainder(&rem, 6, 10, &[&o], &[&n]);
+        let scored = cache.select_remainder(&rem, 6, 10, &residue);
         assert_eq!(scored.len(), 1);
     }
 }

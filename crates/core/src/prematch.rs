@@ -10,11 +10,12 @@
 use crate::blocking::{candidate_pairs_filtered, BlockingStrategy};
 use crate::cluster::UnionFind;
 use crate::config::Parallelism;
+use crate::csr::MatchCsr;
 use crate::mem::MemGovernor;
 use crate::shard::{sharded_candidate_pairs, sharded_scores, ShardedPairs};
 use crate::simfunc::{CompiledProfile, SimFunc};
-use census_model::{PersonRecord, RecordId};
-use obs::{Collector, Counter, EventKind, Footprint};
+use census_model::PersonRecord;
+use obs::{Collector, Counter, EventKind, Footprint, MemoryFootprint};
 use std::collections::HashMap;
 use std::time::Instant;
 use textsim::{CompiledValue, MultisetArena};
@@ -165,12 +166,52 @@ impl SimTable {
     }
 }
 
-/// Pairs per batch-kernel tile. Bounds the tile scratch (the spec-sim
-/// stash, the selection vector, dedup keys) to some tens of MiB
-/// regardless of candidate count, while keeping tiles large enough that
-/// the per-tile dedup sees most of the value repetition — census-scale
-/// corpora repeat the same value pairs far beyond 2^16 pairs.
-const BATCH_TILE_PAIRS: usize = 1 << 20;
+/// Pairs per batch-kernel tile. The tile scratch ([`TileScratch`], some
+/// 65 bytes a pair with the default specs) scales with this constant,
+/// once per scoring worker, so it sets the kernel's transient memory:
+/// about 4 MiB a worker at 2^16 pairs, where 2^20 held ~85 MiB. Smaller
+/// tiles dedup less of the value repetition tile-locally (the
+/// `prematch.batch_dedup_rate` falls), but the tile's sort keys stay
+/// cache-resident, and on the paper-scale pair that gained more than
+/// the lost dedup cost — see DESIGN.md §14 for the measurement.
+const BATCH_TILE_PAIRS: usize = 1 << 16;
+
+/// Per-tile buffers of [`batch_score_into`], reused tile to tile; every
+/// vector is bounded by [`BATCH_TILE_PAIRS`] entries (times the spec
+/// count for the similarity stash), whatever the candidate count.
+#[derive(Default)]
+struct TileScratch {
+    /// Id-matrix rows of the tile's pairs — filled only for shard-local
+    /// ids; global scoring reads the pairs themselves as rows.
+    rows: Vec<(u32, u32)>,
+    /// The selection vector: tile slots still above the early-exit bound.
+    alive: Vec<u32>,
+    /// Running weighted sums, aligned with `alive`.
+    partials: Vec<f64>,
+    /// One column's similarities, aligned with `alive`.
+    lane: Vec<f64>,
+    /// Per-slot spec similarities, read by the survivor fold.
+    sims: Vec<f64>,
+    /// Packed `(old id, new id[, slot])` keys of the tile-local dedup.
+    keys: Vec<u64>,
+    uniq: Vec<u64>,
+    uniq_sims: Vec<f64>,
+}
+
+impl MemoryFootprint for TileScratch {
+    fn footprint(&self) -> Footprint {
+        use obs::footprint::vec_capacity_bytes as cap;
+        let bytes = cap(&self.rows)
+            + cap(&self.alive)
+            + cap(&self.partials)
+            + cap(&self.lane)
+            + cap(&self.sims)
+            + cap(&self.keys)
+            + cap(&self.uniq)
+            + cap(&self.uniq_sims);
+        Footprint::new(bytes, self.partials.capacity() as u64)
+    }
+}
 
 /// Report similarity tables the memory budget refused (see
 /// [`SimTable::per_spec`]) as a counter and a trace event.
@@ -217,6 +258,9 @@ impl BatchStats {
     }
 }
 
+/// Scored match pairs: `(old index, new index, agg_sim)`.
+type Matches = Vec<(u32, u32, f64)>;
+
 /// How batch tiles map pair indices onto rows of the id matrix.
 enum RowLookup<'a> {
     /// Pair indices index the id matrix directly (global scoring).
@@ -248,6 +292,9 @@ enum RowLookup<'a> {
 /// (`SimFunc::fold_survivor`); decisions, scores and prune counts are
 /// bit-identical to the per-pair oracle — only the order the
 /// per-attribute similarities are materialised in changes.
+///
+/// Returns the matches, sized to their count, and the footprint of the
+/// tile scratch at its largest.
 #[allow(clippy::too_many_arguments)] // the scoring inputs plus the batch plumbing
 fn batch_score_into(
     pairs: &[(u32, u32)],
@@ -257,37 +304,41 @@ fn batch_score_into(
     arenas: &[MultisetArena],
     tables: &mut [Option<SimTable>],
     stats: &mut BatchStats,
-) -> Vec<(u32, u32, f64)> {
+) -> (Matches, Footprint) {
     let n_specs = ids.n_specs;
     let order = sim.spec_order();
-    let mut out = Vec::new();
-    // reused tile scratch: id-matrix base offsets per pair, the selection
-    // vector with its running partial sums, one similarity lane aligned
-    // with it, the per-pair spec-sim stash the survivor fold reads, and
-    // the packed-key buffers of the tile-local dedup
-    let mut bases: Vec<(usize, usize)> = Vec::new();
-    let mut alive: Vec<u32> = Vec::new();
-    let mut partials: Vec<f64> = Vec::new();
-    let mut lane: Vec<f64> = Vec::new();
-    let mut sims: Vec<f64> = Vec::new();
-    let mut keys: Vec<u64> = Vec::new();
-    let mut uniq: Vec<u64> = Vec::new();
-    let mut uniq_sims: Vec<f64> = Vec::new();
+    // every pair is a potential match: reserving that bound up front
+    // avoids the copies of a doubling growth, and the pages of the unused
+    // tail are never touched; the shrink below releases them
+    let mut out = Vec::with_capacity(pairs.len());
+    let mut scratch = TileScratch::default();
+    let TileScratch {
+        rows: row_buf,
+        alive,
+        partials,
+        lane,
+        sims,
+        keys,
+        uniq,
+        uniq_sims,
+    } = &mut scratch;
     for tile in pairs.chunks(BATCH_TILE_PAIRS) {
-        bases.clear();
-        match rows {
-            RowLookup::Direct => bases.extend(
-                tile.iter()
-                    .map(|&(i, j)| (i as usize * n_specs, j as usize * n_specs)),
-            ),
+        let tile_rows: &[(u32, u32)] = match rows {
+            RowLookup::Direct => tile,
             RowLookup::Sharded { uniq_old, uniq_new } => {
-                bases.extend(tile.iter().map(|&(i, j)| {
+                row_buf.clear();
+                row_buf.extend(tile.iter().map(|&(i, j)| {
                     let li = uniq_old.binary_search(&i).expect("pair index in uniq_old");
                     let lj = uniq_new.binary_search(&j).expect("pair index in uniq_new");
-                    (li * n_specs, lj * n_specs)
-                }))
+                    (li as u32, lj as u32)
+                }));
+                row_buf
             }
-        }
+        };
+        let base = |p: u32| {
+            let (i, j) = tile_rows[p as usize];
+            (i as usize * n_specs, j as usize * n_specs)
+        };
         alive.clear();
         alive.extend(0..tile.len() as u32);
         partials.clear();
@@ -303,8 +354,8 @@ fn batch_score_into(
             lane.clear();
             match &mut tables[spec] {
                 Some(t) => {
-                    for &p in &alive {
-                        let (bo, bn) = bases[p as usize];
+                    for &p in alive.iter() {
+                        let (bo, bn) = base(p);
                         let (a, b) = (ids.old[bo + spec], ids.new[bn + spec]);
                         let mut computed = false;
                         let v = t.get_or_insert_with(a, b, || {
@@ -335,7 +386,7 @@ fn batch_score_into(
                         let slot_mask = (1u64 << SLOT_BITS) - 1;
                         keys.clear();
                         keys.extend(alive.iter().enumerate().map(|(idx, &p)| {
-                            let (bo, bn) = bases[p as usize];
+                            let (bo, bn) = base(p);
                             (u64::from(ids.old[bo + spec]) << (id_bits + SLOT_BITS))
                                 | (u64::from(ids.new[bn + spec]) << SLOT_BITS)
                                 | idx as u64
@@ -344,7 +395,7 @@ fn batch_score_into(
                         lane.resize(alive.len(), 0.0);
                         let mut run = u64::MAX;
                         let mut v = 0.0;
-                        for &packed in &keys {
+                        for &packed in keys.iter() {
                             let key = packed >> SLOT_BITS;
                             if key != run {
                                 run = key;
@@ -360,11 +411,11 @@ fn batch_score_into(
                         // binary search
                         keys.clear();
                         keys.extend(alive.iter().map(|&p| {
-                            let (bo, bn) = bases[p as usize];
+                            let (bo, bn) = base(p);
                             (u64::from(ids.old[bo + spec]) << 32) | u64::from(ids.new[bn + spec])
                         }));
                         uniq.clear();
-                        uniq.extend_from_slice(&keys);
+                        uniq.extend_from_slice(keys);
                         uniq.sort_unstable();
                         uniq.dedup();
                         stats.unique += uniq.len() as u64;
@@ -407,14 +458,15 @@ fn batch_score_into(
             alive.truncate(kept);
             partials.truncate(kept);
         }
-        for &p in &alive {
+        for &p in alive.iter() {
             if let Some(s) = sim.fold_survivor(&sims[p as usize * n_specs..][..n_specs]) {
                 let (i, j) = tile[p as usize];
                 out.push((i, j, s));
             }
         }
     }
-    out
+    out.shrink_to_fit();
+    (out, scratch.footprint())
 }
 
 /// Whether a candidate pair is age-plausible: the new age must lie within
@@ -436,32 +488,117 @@ pub(crate) fn age_plausible(
     }
 }
 
-/// The pre-matching result: cluster labels per record side, cluster
-/// sizes, and the aggregated similarity of every match pair.
+/// The pre-matching result over two record slices, in their index
+/// space: the cluster label of every record position on each side, the
+/// record count of every cluster, and the match pairs with their
+/// aggregated similarity as compressed rows keyed by the old position.
+///
+/// Labels are union-find roots over the old positions followed by the
+/// new ones, so they are dense (`< old_len + new_len`) and the sizes are
+/// a plain vector. Every position has a label; unmatched records form
+/// singleton clusters.
 #[derive(Debug, Clone, Default)]
 pub struct PreMatch {
-    /// Cluster label of each old-census record (every record gets one;
-    /// unmatched records form singleton clusters).
-    pub label_old: HashMap<RecordId, u64>,
-    /// Cluster label of each new-census record.
-    pub label_new: HashMap<RecordId, u64>,
-    /// Number of records (both censuses) per cluster label.
-    pub cluster_size: HashMap<u64, u32>,
-    /// `agg_sim` of every `(old, new)` pair that reached the threshold.
-    pub pair_sims: HashMap<(RecordId, RecordId), f64>,
+    label_old: Vec<u32>,
+    label_new: Vec<u32>,
+    /// Records (both sides) per label.
+    sizes: Vec<u32>,
+    pairs: MatchCsr,
 }
 
 impl PreMatch {
+    /// Cluster `old_len` × `new_len` records by the transitive closure of
+    /// match pairs given as `(old position, new position, agg_sim)`,
+    /// sorted by `(old, new)`. The pairs are walked twice: once to size
+    /// the rows exactly, once to fill them.
+    #[must_use]
+    pub(crate) fn from_sorted_pairs<I>(old_len: usize, new_len: usize, pairs: I) -> Self
+    where
+        I: IntoIterator<Item = (u32, u32, f64)>,
+        I::IntoIter: Clone,
+    {
+        let pairs = MatchCsr::from_sorted(old_len, pairs);
+        let mut uf = UnionFind::new(old_len + new_len);
+        for (p, q, _) in pairs.iter() {
+            uf.union(p as usize, old_len + q as usize);
+        }
+        let label_old: Vec<u32> = (0..old_len).map(|p| uf.find(p) as u32).collect();
+        let label_new: Vec<u32> = (0..new_len).map(|q| uf.find(old_len + q) as u32).collect();
+        let mut sizes = vec![0u32; old_len + new_len];
+        for &label in label_old.iter().chain(&label_new) {
+            sizes[label as usize] += 1;
+        }
+        Self {
+            label_old,
+            label_new,
+            sizes,
+            pairs,
+        }
+    }
+
     /// Number of match pairs.
     #[must_use]
     pub fn match_count(&self) -> usize {
-        self.pair_sims.len()
+        self.pairs.len()
     }
 
-    /// The size of the cluster a label names (0 for unknown labels).
+    /// Number of old-side record positions.
     #[must_use]
-    pub fn size_of_label(&self, label: u64) -> u32 {
-        self.cluster_size.get(&label).copied().unwrap_or(0)
+    pub fn old_len(&self) -> usize {
+        self.label_old.len()
+    }
+
+    /// Number of new-side record positions.
+    #[must_use]
+    pub fn new_len(&self) -> usize {
+        self.label_new.len()
+    }
+
+    /// Cluster label of old position `p` (`None` past the end).
+    #[must_use]
+    pub fn old_label(&self, p: usize) -> Option<u32> {
+        self.label_old.get(p).copied()
+    }
+
+    /// Cluster label of new position `q` (`None` past the end).
+    #[must_use]
+    pub fn new_label(&self, q: usize) -> Option<u32> {
+        self.label_new.get(q).copied()
+    }
+
+    /// The number of records in the cluster a label names (0 for unknown
+    /// labels).
+    #[must_use]
+    pub fn size_of_label(&self, label: u32) -> u32 {
+        self.sizes.get(label as usize).copied().unwrap_or(0)
+    }
+
+    /// `agg_sim` of match pair `(p, q)`, or `None` when the pair did not
+    /// reach the threshold — a binary search within row `p`.
+    #[must_use]
+    pub fn sim(&self, p: usize, q: usize) -> Option<f64> {
+        self.pairs.get(p, q as u32)
+    }
+
+    /// The new positions old position `p` matched, ascending.
+    pub(crate) fn matched_new(&self, p: usize) -> &[u32] {
+        self.pairs.row(p).0
+    }
+
+    /// Every match pair as `(old position, new position, agg_sim)`, in
+    /// `(old, new)` order.
+    pub fn pairs(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
+        self.pairs.iter()
+    }
+}
+
+impl MemoryFootprint for PreMatch {
+    fn footprint(&self) -> Footprint {
+        let labels = obs::footprint::vec_capacity_bytes(&self.label_old)
+            + obs::footprint::vec_capacity_bytes(&self.label_new)
+            + obs::footprint::vec_capacity_bytes(&self.sizes);
+        let pairs = self.pairs.footprint();
+        Footprint::new(labels + pairs.bytes, pairs.elements)
     }
 }
 
@@ -500,7 +637,7 @@ pub(crate) fn score_pairs(
             obs.snapshot_footprint("sim_tables", SimTable::footprint(&tables));
         }
         let mut stats = BatchStats::default();
-        let out = batch_score_into(
+        let (out, scratch) = batch_score_into(
             pairs,
             sim,
             &ids,
@@ -510,6 +647,9 @@ pub(crate) fn score_pairs(
             &mut stats,
         );
         stats.report(obs);
+        if obs.is_enabled() {
+            obs.snapshot_footprint("tile_scratch", scratch);
+        }
         out
     } else {
         // parallel: the interned ids and arenas are shared read-only
@@ -518,8 +658,7 @@ pub(crate) fn score_pairs(
         // the workers on its lock, and per-worker tables would multiply
         // the memo's memory by the thread count.
         let chunk = pairs.len().div_ceil(par.threads.max(1));
-        let mut out = Vec::with_capacity(pairs.len() / 4);
-        crossbeam::scope(|scope| {
+        let parts: Vec<(Matches, Footprint)> = crossbeam::scope(|scope| {
             let handles: Vec<_> = pairs
                 .chunks(chunk)
                 .enumerate()
@@ -551,11 +690,28 @@ pub(crate) fn score_pairs(
                     })
                 })
                 .collect();
-            for h in handles {
-                out.extend(h.join().expect("scoring worker panicked"));
-            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("scoring worker panicked"))
+                .collect()
         })
         .expect("crossbeam scope");
+        // the workers' scratch is live at the same time: report the sum
+        if obs.is_enabled() {
+            let scratch = parts
+                .iter()
+                .fold(Footprint::ZERO, |acc, (_, fp)| acc.plus(*fp));
+            obs.snapshot_footprint("tile_scratch", scratch);
+        }
+        // concatenate in chunk order into the first part, grown once to
+        // the exact total
+        let total: usize = parts.iter().map(|(m, _)| m.len()).sum();
+        let mut parts = parts.into_iter().map(|(m, _)| m);
+        let mut out = parts.next().unwrap_or_default();
+        out.reserve_exact(total - out.len());
+        for part in parts {
+            out.extend(part);
+        }
         out
     };
     obs.add(Counter::PrematchPairsMatched, out.len() as u64);
@@ -578,6 +734,8 @@ pub(crate) struct ShardScore {
     pub tables: Footprint,
     /// Heap bytes and laid-out values of this shard's multiset arenas.
     pub arenas: Footprint,
+    /// The batch kernel's tile scratch at its largest.
+    pub scratch: Footprint,
 }
 
 /// Score one shard's candidate pairs with shard-local similarity tables.
@@ -612,7 +770,7 @@ pub(crate) fn score_shard(
     let (mut tables, budget_rejected) = SimTable::per_spec(&ids.uniques, max_cells);
     let arenas = ids.arenas();
     let mut stats = BatchStats::default();
-    let matched = batch_score_into(
+    let (matched, scratch) = batch_score_into(
         pairs,
         sim,
         &ids,
@@ -630,6 +788,7 @@ pub(crate) fn score_shard(
         budget_rejected,
         tables: SimTable::footprint(&tables),
         arenas: arena_footprint(&arenas),
+        scratch,
     }
 }
 
@@ -707,12 +866,45 @@ pub fn prematch_with_profiles(
     mem: &MemGovernor,
     obs: &Collector,
 ) -> PreMatch {
+    let matches = score_matches(
+        old,
+        new,
+        old_profiles,
+        new_profiles,
+        year_gap,
+        sim,
+        strategy,
+        par,
+        max_age_gap,
+        mem,
+        obs,
+    );
+    PreMatch::from_sorted_pairs(old.len(), new.len(), matches.iter().copied())
+}
+
+/// Block and score `old × new` at `sim`'s threshold: the `(old index,
+/// new index, agg_sim)` match pairs sorted by `(old, new)`, with the
+/// blocked-pair count reported to `obs`. [`prematch_with_profiles`]
+/// without the clustering.
+#[allow(clippy::too_many_arguments)] // prematch_with_profiles' inputs
+pub(crate) fn score_matches(
+    old: &[&PersonRecord],
+    new: &[&PersonRecord],
+    old_profiles: &[&CompiledProfile],
+    new_profiles: &[&CompiledProfile],
+    year_gap: i64,
+    sim: &SimFunc,
+    strategy: BlockingStrategy,
+    par: Parallelism,
+    max_age_gap: Option<u32>,
+    mem: &MemGovernor,
+    obs: &Collector,
+) -> Vec<(u32, u32, f64)> {
     debug_assert_eq!(old.len(), old_profiles.len());
     debug_assert_eq!(new.len(), new_profiles.len());
     let blocked = Blocked::generate(old, new, year_gap, strategy, par, max_age_gap, obs);
     obs.add(Counter::BlockingPairsGenerated, blocked.len() as u64);
-    let matches = blocked.score(old_profiles, new_profiles, sim, par, mem, obs);
-    build_prematch(old, new, &matches)
+    blocked.score(old_profiles, new_profiles, sim, par, mem, obs)
 }
 
 /// The candidate pairs of one blocking pass, in the shape the engine
@@ -804,52 +996,10 @@ impl Blocked {
     }
 }
 
-/// Build the [`PreMatch`] clustering from scored match pairs: the
-/// transitive closure over the match graph, labels for every record
-/// (unmatched records form singleton clusters), cluster sizes and the
-/// per-pair similarities. `matches` holds `(old index, new index,
-/// agg_sim)` triples over the given slices — from a fresh scoring pass
-/// or from a filter over the cross-iteration pair-score cache.
-pub(crate) fn build_prematch(
-    old: &[&PersonRecord],
-    new: &[&PersonRecord],
-    matches: &[(u32, u32, f64)],
-) -> PreMatch {
-    // transitive closure: indices 0..n_old are old records, n_old.. new
-    let n_old = old.len();
-    let mut uf = UnionFind::new(n_old + new.len());
-    let mut pair_sims = HashMap::with_capacity(matches.len());
-    for &(i, j, s) in matches {
-        uf.union(i as usize, n_old + j as usize);
-        pair_sims.insert((old[i as usize].id, new[j as usize].id), s);
-    }
-
-    let mut label_old = HashMap::with_capacity(n_old);
-    let mut label_new = HashMap::with_capacity(new.len());
-    let mut cluster_size: HashMap<u64, u32> = HashMap::new();
-    for (i, r) in old.iter().enumerate() {
-        let label = uf.find(i) as u64;
-        label_old.insert(r.id, label);
-        *cluster_size.entry(label).or_insert(0) += 1;
-    }
-    for (j, r) in new.iter().enumerate() {
-        let label = uf.find(n_old + j) as u64;
-        label_new.insert(r.id, label);
-        *cluster_size.entry(label).or_insert(0) += 1;
-    }
-
-    PreMatch {
-        label_old,
-        label_new,
-        cluster_size,
-        pair_sims,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use census_model::{HouseholdId, Role, Sex};
+    use census_model::{HouseholdId, RecordId, Role, Sex};
 
     fn rec(id: u64, fname: &str, sname: &str, sex: Sex, age: u32) -> PersonRecord {
         let mut r = PersonRecord::empty(RecordId(id), HouseholdId(0), Role::Head);
@@ -904,13 +1054,13 @@ mod tests {
             None,
         );
         // john_old clusters with both new johns
-        let l_john = pm.label_old[&RecordId(0)];
-        assert_eq!(pm.label_new[&RecordId(0)], l_john);
-        assert_eq!(pm.label_new[&RecordId(1)], l_john);
-        assert_eq!(pm.size_of_label(l_john), 3);
+        let l_john = pm.old_label(0);
+        assert_eq!(pm.new_label(0), l_john);
+        assert_eq!(pm.new_label(1), l_john);
+        assert_eq!(pm.size_of_label(l_john.unwrap()), 3);
         // alice ashworth does not cluster with alice smith at threshold 1
-        assert_ne!(pm.label_old[&RecordId(1)], pm.label_new[&RecordId(2)]);
-        assert_eq!(pm.size_of_label(pm.label_old[&RecordId(1)]), 1);
+        assert_ne!(pm.old_label(1), pm.new_label(2));
+        assert_eq!(pm.size_of_label(pm.old_label(1).unwrap()), 1);
         assert_eq!(pm.match_count(), 2);
     }
 
@@ -927,7 +1077,7 @@ mod tests {
             1,
             None,
         );
-        let s = pm.pair_sims[&(RecordId(0), RecordId(0))];
+        let s = pm.sim(0, 0).unwrap();
         assert!((s - 1.0).abs() < 1e-9);
     }
 
@@ -946,7 +1096,7 @@ mod tests {
         );
         assert_eq!(pm.match_count(), 0);
         // …but both records still get (distinct singleton) labels
-        assert_ne!(pm.label_old[&RecordId(0)], pm.label_new[&RecordId(0)]);
+        assert_ne!(pm.old_label(0), pm.new_label(0));
     }
 
     #[test]
@@ -956,7 +1106,7 @@ mod tests {
         let f = fig3_simfunc().with_threshold(0.8);
         let pm = prematch(&[&o], &[&n], 10, &f, BlockingStrategy::Full, 1, None);
         assert_eq!(pm.match_count(), 1);
-        assert_eq!(pm.label_old[&RecordId(0)], pm.label_new[&RecordId(0)]);
+        assert_eq!(pm.old_label(0), pm.new_label(0));
     }
 
     #[test]
@@ -968,10 +1118,10 @@ mod tests {
         let n = rec(0, "john", "ashworth", Sex::Male, 49);
         let f = fig3_simfunc().with_threshold(0.8);
         let pm = prematch(&[&o1, &o2], &[&n], 10, &f, BlockingStrategy::Full, 1, None);
-        let l = pm.label_new[&RecordId(0)];
-        assert_eq!(pm.label_old[&RecordId(0)], l);
-        assert_eq!(pm.label_old[&RecordId(1)], l);
-        assert_eq!(pm.size_of_label(l), 3);
+        let l = pm.new_label(0);
+        assert_eq!(pm.old_label(0), l);
+        assert_eq!(pm.old_label(1), l);
+        assert_eq!(pm.size_of_label(l.unwrap()), 3);
     }
 
     #[test]
@@ -1005,16 +1155,19 @@ mod tests {
         let seq = prematch(&or, &nr, 10, &f, BlockingStrategy::Full, 1, None);
         let par = prematch(&or, &nr, 10, &f, BlockingStrategy::Full, 4, None);
         assert_eq!(seq.match_count(), par.match_count());
-        assert_eq!(seq.pair_sims, par.pair_sims);
+        let pairs = |pm: &PreMatch| pm.pairs().collect::<Vec<_>>();
+        assert_eq!(pairs(&seq), pairs(&par));
         // labels are root indices; same unions → same partition (roots may
         // differ in principle, so compare partition structure)
         let part = |pm: &PreMatch| {
-            let mut groups: HashMap<u64, Vec<String>> = HashMap::new();
-            for (r, l) in &pm.label_old {
-                groups.entry(*l).or_default().push(format!("o{}", r.raw()));
+            let mut groups: HashMap<u32, Vec<String>> = HashMap::new();
+            for p in 0..pm.old_len() {
+                let l = pm.old_label(p).unwrap();
+                groups.entry(l).or_default().push(format!("o{p}"));
             }
-            for (r, l) in &pm.label_new {
-                groups.entry(*l).or_default().push(format!("n{}", r.raw()));
+            for q in 0..pm.new_len() {
+                let l = pm.new_label(q).unwrap();
+                groups.entry(l).or_default().push(format!("n{q}"));
             }
             let mut v: Vec<Vec<String>> = groups
                 .into_values()
@@ -1086,6 +1239,6 @@ mod tests {
             None,
         );
         assert_eq!(pm.match_count(), 0);
-        assert!(pm.label_old.is_empty());
+        assert_eq!(pm.old_len(), 0);
     }
 }

@@ -8,6 +8,9 @@
 //! compiled profile per record per census side, reusing it for as long as
 //! the similarity function's specs stay the same and rebuilding lazily
 //! when they change (e.g. a remainder pass with different weights).
+//! Profiles are keyed by the record's position in the run's record
+//! slices — the index space of [`crate::Residue`] — so the slots are a
+//! plain vector whatever the record ids look like.
 
 use crate::simfunc::{AttributeSpec, CompiledProfile, SimFunc};
 use census_model::PersonRecord;
@@ -16,7 +19,8 @@ use std::collections::HashMap;
 use textsim::CompiledValue;
 
 /// A per-run cache of [`CompiledProfile`]s for the two census sides,
-/// keyed by record index and invalidated when the attribute specs change.
+/// keyed by record position and invalidated when the attribute specs
+/// change. Every call on one cache must pass the same record slices.
 #[derive(Debug, Default)]
 pub struct ProfileCache {
     specs: Vec<AttributeSpec>,
@@ -52,17 +56,18 @@ impl ProfileCache {
         side: &mut Vec<Option<CompiledProfile>>,
         sim: &SimFunc,
         records: &[&PersonRecord],
+        positions: &[u32],
         value_memo: &mut [HashMap<String, CompiledValue>],
         built: &mut usize,
         reused: &mut usize,
     ) {
-        for r in records {
-            let idx = r.id.index();
-            if idx >= side.len() {
-                side.resize_with(idx + 1, || None);
-            }
-            if side[idx].is_none() {
-                side[idx] = Some(sim.compile_memoized(r, value_memo));
+        if side.len() < records.len() {
+            side.resize_with(records.len(), || None);
+        }
+        for &p in positions {
+            let slot = &mut side[p as usize];
+            if slot.is_none() {
+                *slot = Some(sim.compile_memoized(records[p as usize], value_memo));
                 *built += 1;
             } else {
                 *reused += 1;
@@ -70,20 +75,35 @@ impl ProfileCache {
         }
     }
 
-    /// Compile-or-fetch the profiles of both record sides, returned in
-    /// input order. Records seen in an earlier call under the same specs
-    /// reuse their cached profile.
+    /// Compile-or-fetch the profiles of every record of both sides,
+    /// returned in input order. Records seen in an earlier call under the
+    /// same specs reuse their cached profile.
     pub fn profiles<'c>(
         &'c mut self,
         sim: &SimFunc,
         old: &[&PersonRecord],
         new: &[&PersonRecord],
     ) -> (Vec<&'c CompiledProfile>, Vec<&'c CompiledProfile>) {
+        let all = |n: usize| (0..n as u32).collect::<Vec<u32>>();
+        self.profiles_at(sim, old, new, &all(old.len()), &all(new.len()))
+    }
+
+    /// [`ProfileCache::profiles`] for the records at `old_pos` / `new_pos`
+    /// of the two sides only (a residue), returned in position order.
+    pub fn profiles_at<'c>(
+        &'c mut self,
+        sim: &SimFunc,
+        old: &[&PersonRecord],
+        new: &[&PersonRecord],
+        old_pos: &[u32],
+        new_pos: &[u32],
+    ) -> (Vec<&'c CompiledProfile>, Vec<&'c CompiledProfile>) {
         self.ensure_specs(sim);
         Self::fill(
             &mut self.old,
             sim,
             old,
+            old_pos,
             &mut self.value_memo,
             &mut self.built,
             &mut self.reused,
@@ -92,27 +112,18 @@ impl ProfileCache {
             &mut self.new,
             sim,
             new,
+            new_pos,
             &mut self.value_memo,
             &mut self.built,
             &mut self.reused,
         );
-        let o = old
-            .iter()
-            .map(|r| {
-                self.old[r.id.index()]
-                    .as_ref()
-                    .expect("profile just filled")
-            })
-            .collect();
-        let n = new
-            .iter()
-            .map(|r| {
-                self.new[r.id.index()]
-                    .as_ref()
-                    .expect("profile just filled")
-            })
-            .collect();
-        (o, n)
+        let get = |side: &'c [Option<CompiledProfile>], positions: &[u32]| {
+            positions
+                .iter()
+                .map(|&p| side[p as usize].as_ref().expect("profile just filled"))
+                .collect()
+        };
+        (get(&self.old, old_pos), get(&self.new, new_pos))
     }
 
     /// Profiles compiled so far (cache misses).
@@ -218,6 +229,23 @@ mod tests {
         let (o, n) = cache.profiles(&sim, &[&a], &[&b]); // all hits
         let fresh = sim.aggregate_compiled(&sim.compile(&a), &sim.compile(&b));
         assert_eq!(sim.aggregate_compiled(o[0], n[0]), fresh);
+    }
+
+    #[test]
+    fn profiles_are_keyed_by_position_not_id() {
+        // two records sharing an id at different positions, and an id far
+        // beyond the slice length: each position gets its own profile
+        let sim = SimFunc::omega2(0.5);
+        let (a, b, c) = (rec(7, "john"), rec(7, "mary"), rec(1 << 40, "alice"));
+        let mut cache = ProfileCache::new();
+        let (o, _) = cache.profiles(&sim, &[&a, &b, &c], &[]);
+        assert!((sim.aggregate_compiled(o[0], o[1]) - 1.0).abs() > 0.05);
+        assert_eq!(cache.built(), 3);
+        // a residue of positions 0 and 2 is served from the cache, in order
+        let (o, _) = cache.profiles_at(&sim, &[&a, &b, &c], &[], &[0, 2], &[]);
+        let fresh = sim.aggregate_compiled(&sim.compile(&a), &sim.compile(&c));
+        assert_eq!(sim.aggregate_compiled(o[0], o[1]), fresh);
+        assert_eq!((cache.built(), cache.reused()), (3, 2));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::blocking::BlockingStrategy;
 use crate::config::{Parallelism, RemainderConfig};
-use crate::pairscore::PairScoreCache;
+use crate::pairscore::{PairScoreCache, Residue};
 use crate::prematch::{age_plausible, Blocked};
 use crate::profiles::ProfileCache;
 use crate::simfunc::SimFunc;
@@ -31,8 +31,7 @@ pub fn match_remaining(
     match_remaining_cached(
         old_ds,
         new_ds,
-        remaining_old,
-        remaining_new,
+        &Residue::new(remaining_old, remaining_new),
         config,
         blocking,
         Parallelism::default(),
@@ -44,10 +43,11 @@ pub fn match_remaining(
     )
 }
 
-/// [`match_remaining`] reusing an existing [`ProfileCache`]: when the
-/// remainder function's specs equal the cache's, every residue record's
-/// profile is a cache hit from the subgraph iterations. When a
-/// [`PairScoreCache`] is given and it covers the remainder function
+/// [`match_remaining`] over the unlinked records of `residue`, reusing an
+/// existing [`ProfileCache`]: when the remainder function's specs equal
+/// the cache's, every residue record's profile is a cache hit from the
+/// subgraph iterations. When a [`PairScoreCache`] built over the
+/// residue's records is given and it covers the remainder function
 /// (same specs, threshold at or above its floor, age filter no looser
 /// than its build — see [`PairScoreCache::covers`]), scoring is skipped
 /// entirely and the residue pairs are served from the cached scores;
@@ -57,8 +57,7 @@ pub fn match_remaining(
 pub fn match_remaining_cached(
     old_ds: &CensusDataset,
     new_ds: &CensusDataset,
-    remaining_old: &[&PersonRecord],
-    remaining_new: &[&PersonRecord],
+    residue: &Residue,
     config: &RemainderConfig,
     blocking: BlockingStrategy,
     par: Parallelism,
@@ -68,7 +67,8 @@ pub fn match_remaining_cached(
     pair_cache: Option<&PairScoreCache>,
     obs: &Collector,
 ) -> Vec<(RecordId, RecordId)> {
-    if !config.enabled || remaining_old.is_empty() || remaining_new.is_empty() {
+    let (old_pos, new_pos) = (residue.unlinked_old(), residue.unlinked_new());
+    if !config.enabled || old_pos.is_empty() || new_pos.is_empty() {
         return Vec::new();
     }
     let year_gap = i64::from(new_ds.year - old_ds.year);
@@ -78,13 +78,7 @@ pub fn match_remaining_cached(
         // cache-served selection still walks the whole cached pair set:
         // one worker-0 timeline event covers it, detail = pairs selected
         let t0 = obs.timeline_start();
-        let scored = pc.select_remainder(
-            sim,
-            config.max_age_gap,
-            year_gap,
-            remaining_old,
-            remaining_new,
-        );
+        let scored = pc.select_remainder(sim, config.max_age_gap, year_gap, residue);
         if let Some(t0) = t0 {
             obs.timeline_task(0, EventKind::RemainderChunk, scored.len() as u64, None, t0);
         }
@@ -92,12 +86,18 @@ pub fn match_remaining_cached(
         obs.add(Counter::PairCacheFiltered, (pc.len() - scored.len()) as u64);
         scored
     } else {
-        let (old_profiles, new_profiles) = cache.profiles(sim, remaining_old, remaining_new);
+        let (all_old, all_new) = (residue.old_records(), residue.new_records());
+        let (old_profiles, new_profiles) =
+            cache.profiles_at(sim, all_old, all_new, &old_pos, &new_pos);
+        let remaining_old: Vec<&PersonRecord> =
+            old_pos.iter().map(|&p| all_old[p as usize]).collect();
+        let remaining_new: Vec<&PersonRecord> =
+            new_pos.iter().map(|&q| all_new[q as usize]).collect();
         // the remainder's own age filter runs below, after blocking, so
         // the pair counters see every blocked pair
         let pairs = Blocked::generate(
-            remaining_old,
-            remaining_new,
+            &remaining_old,
+            &remaining_new,
             year_gap,
             blocking,
             par,

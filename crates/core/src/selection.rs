@@ -17,6 +17,9 @@ pub struct ScoredSubgroup {
     pub new: HouseholdId,
     /// The matched common subgraph.
     pub sub: MatchedSubgraph,
+    /// Each vertex's `(old, new)` record position in the pre-matching's
+    /// index space, parallel to `sub.vertices`.
+    pub positions: Box<[(u32, u32)]>,
     /// Component scores (Eq. 5–7).
     pub score: GroupScore,
     /// Aggregated similarity (Eq. 4).
@@ -24,25 +27,44 @@ pub struct ScoredSubgroup {
 }
 
 impl ScoredSubgroup {
-    /// Score a subgraph candidate.
+    /// Score a subgraph candidate whose vertices sit at `positions` of
+    /// `pre`.
     #[must_use]
     pub fn new(
         old: HouseholdId,
         new: HouseholdId,
         sub: MatchedSubgraph,
+        positions: Box<[(u32, u32)]>,
         pre: &PreMatch,
         weights: SelectionWeights,
         fallback_sim: f64,
     ) -> Self {
-        let score = score_subgraph(&sub, pre, fallback_sim);
+        let score = score_subgraph(&sub, &positions, pre, fallback_sim);
         let g_sim = weights.g_sim(&score);
         Self {
             old,
             new,
             sub,
+            positions,
             score,
             g_sim,
         }
+    }
+
+    /// The positions of vertex `(o, n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(o, n)` is not a vertex of the subgraph.
+    #[must_use]
+    pub fn position_of(&self, o: RecordId, n: RecordId) -> (u32, u32) {
+        let k = self
+            .sub
+            .vertices
+            .iter()
+            .position(|&v| v == (o, n))
+            .expect("record link is a vertex of its subgraph");
+        self.positions[k]
     }
 }
 
@@ -190,10 +212,12 @@ pub fn select_group_links(candidates: &[ScoredSubgroup], min_g_sim: f64) -> Vec<
 /// equal-label members; links are taken greedily in descending
 /// (edge-degree, pair-similarity) order so the structurally
 /// best-supported pair wins, and the 1:1 constraint of
-/// [`RecordMapping::insert`] rejects the rest. Returns the links added,
-/// in acceptance order.
+/// [`RecordMapping::insert`] rejects the rest. `positions` places the
+/// vertices in `pre` (see [`ScoredSubgroup::positions`]). Returns the
+/// links added, in acceptance order.
 pub fn extract_record_links(
     sub: &MatchedSubgraph,
+    positions: &[(u32, u32)],
     pre: &PreMatch,
     fallback_sim: f64,
     mapping: &mut RecordMapping,
@@ -203,15 +227,9 @@ pub fn extract_record_links(
         degree[e.u] += 1;
         degree[e.v] += 1;
     }
-    let sims: Vec<f64> = sub
-        .vertices
+    let sims: Vec<f64> = positions
         .iter()
-        .map(|v| {
-            pre.pair_sims
-                .get(&(v.0, v.1))
-                .copied()
-                .unwrap_or(fallback_sim)
-        })
+        .map(|&(p, q)| pre.sim(p as usize, q as usize).unwrap_or(fallback_sim))
         .collect();
     let mut order: Vec<usize> = (0..sub.vertices.len()).collect();
     order.sort_by(|&a, &b| {
@@ -252,7 +270,7 @@ pub fn select_and_extract(
     for &idx in &accepted {
         let cand = &candidates[idx];
         groups.insert(cand.old, cand.new);
-        for (o, n) in extract_record_links(&cand.sub, pre, fallback_sim, records) {
+        for (o, n) in extract_record_links(&cand.sub, &cand.positions, pre, fallback_sim, records) {
             added.push((o, n, idx));
         }
     }
@@ -292,6 +310,10 @@ mod tests {
         ScoredSubgroup {
             old: HouseholdId(old),
             new: HouseholdId(new),
+            positions: vertices
+                .iter()
+                .map(|&(o, n)| (o as u32, n as u32))
+                .collect(),
             sub: sub(vertices, edges),
             score: GroupScore {
                 avg_sim: 1.0,
@@ -384,7 +406,7 @@ mod tests {
         };
         let pre = PreMatch::default();
         let mut m = RecordMapping::new();
-        let added = extract_record_links(&s, &pre, 0.5, &mut m);
+        let added = extract_record_links(&s, &[(0, 0), (1, 0), (2, 2)], &pre, 0.5, &mut m);
         assert_eq!(added.len(), 2);
         // the degree-1 vertex (0,10) wins over the degree-0 (1,10)
         assert!(m.contains(RecordId(0), RecordId(10)));
@@ -396,15 +418,14 @@ mod tests {
     fn extraction_prefers_higher_similarity_on_equal_degree() {
         let s = MatchedSubgraph {
             vertices: vec![(RecordId(0), RecordId(10)), (RecordId(1), RecordId(10))],
-            edges: vec![],
             old_edge_count: 1,
             new_edge_count: 1,
+            ..MatchedSubgraph::default()
         };
-        let mut pre = PreMatch::default();
-        pre.pair_sims.insert((RecordId(0), RecordId(10)), 0.6);
-        pre.pair_sims.insert((RecordId(1), RecordId(10)), 0.9);
+        // old positions 0 and 1 both match new position 0
+        let pre = PreMatch::from_sorted_pairs(2, 1, [(0, 0, 0.6), (1, 0, 0.9)]);
         let mut m = RecordMapping::new();
-        extract_record_links(&s, &pre, 0.5, &mut m);
+        extract_record_links(&s, &[(0, 0), (1, 0)], &pre, 0.5, &mut m);
         assert!(m.contains(RecordId(1), RecordId(10)));
     }
 

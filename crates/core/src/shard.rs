@@ -296,11 +296,13 @@ pub(crate) fn sharded_scores(
     // concatenated matches into the unsharded (old, new) order; the
     // driver thread reports the merge and sort as worker-0 events
     let merge_t0 = obs.timeline_start();
-    let mut merged: Vec<(u32, u32, f64)> = Vec::new();
+    let total = results.iter().map(|(score, ..)| score.matched.len()).sum();
+    let mut merged: Vec<(u32, u32, f64)> = Vec::with_capacity(total);
     let mut stats = BatchStats::default();
     let mut budget_rejected = 0u64;
     let mut fp = Footprint::ZERO;
     let mut arena_fp = Footprint::ZERO;
+    let mut scratch_fp = Footprint::ZERO;
     for (s, (score, duration_us, worker)) in results.into_iter().enumerate() {
         obs.shard_stat(ShardStat {
             shard: s,
@@ -323,6 +325,9 @@ pub(crate) fn sharded_scores(
         budget_rejected += score.budget_rejected;
         fp = fp.plus(score.tables);
         arena_fp = arena_fp.plus(score.arenas);
+        if score.scratch.bytes > scratch_fp.bytes {
+            scratch_fp = score.scratch;
+        }
         merged.extend(score.matched);
     }
     if let Some(t0) = merge_t0 {
@@ -339,6 +344,13 @@ pub(crate) fn sharded_scores(
     if obs.is_enabled() {
         obs.snapshot_footprint("sim_tables", fp);
         obs.snapshot_footprint("value_arenas", arena_fp);
+        // each worker frees a shard's scratch before its next shard: at
+        // most `concurrent` are live, bounded by the largest one each
+        let live = concurrent as u64;
+        obs.snapshot_footprint(
+            "tile_scratch",
+            Footprint::new(scratch_fp.bytes * live, scratch_fp.elements * live),
+        );
     }
     sample_match_scores(&merged, obs);
     merged

@@ -2,7 +2,7 @@
 //! the pre-matching scorer on the serial, parallel and sharded paths —
 //! must reproduce the per-pair oracle `SimFunc::matches_compiled`
 //! **bit for bit**: over the blocked, age-filtered candidate pairs,
-//! `prematch_with_profiles`' `pair_sims` equals `{pair → s :
+//! `prematch_with_profiles`' match pairs equal `{pair → s :
 //! matches_compiled(pair) = Some(s)}` under `f64::to_bits` equality, and
 //! a traced run's `early_exit_prunes` equals the oracle's
 //! `matches_compiled_counted` tally.
@@ -119,9 +119,11 @@ impl<'a> Corpus<'a> {
             &obs,
         );
         let matches = pm
-            .pair_sims
-            .iter()
-            .map(|(&pair, s)| (pair, s.to_bits()))
+            .pairs()
+            .map(|(i, j, s)| {
+                let pair = (self.old[i as usize].id, self.new[j as usize].id);
+                (pair, s.to_bits())
+            })
             .collect();
         (
             matches,

@@ -7,7 +7,7 @@ use census_model::{GroupMapping, PersonRecord, RecordMapping};
 use census_synth::{generate_series, SimConfig};
 use linkage_core::{
     match_remaining, match_remaining_cached, prematch, prematch_with_profiles, BlockingStrategy,
-    LinkageConfig, ProfileCache, RemainderConfig, SimFunc,
+    LinkageConfig, ProfileCache, RemainderConfig, Residue, SimFunc,
 };
 
 fn corpus() -> census_synth::CensusSeries {
@@ -101,9 +101,22 @@ fn prematch_with_cached_profiles_is_identical() {
                 &linkage_core::MemGovernor::unlimited(),
                 &obs::Collector::disabled(),
             );
-            assert_eq!(plain.pair_sims, cached.pair_sims, "δ={delta} round {round}");
-            assert_eq!(plain.label_old, cached.label_old, "δ={delta} round {round}");
-            assert_eq!(plain.label_new, cached.label_new, "δ={delta} round {round}");
+            let pairs = |pm: &linkage_core::PreMatch| pm.pairs().collect::<Vec<_>>();
+            assert_eq!(pairs(&plain), pairs(&cached), "δ={delta} round {round}");
+            for p in 0..old_recs.len() {
+                assert_eq!(
+                    plain.old_label(p),
+                    cached.old_label(p),
+                    "δ={delta} round {round}"
+                );
+            }
+            for q in 0..new_recs.len() {
+                assert_eq!(
+                    plain.new_label(q),
+                    cached.new_label(q),
+                    "δ={delta} round {round}"
+                );
+            }
         }
         assert!(cache.reused() > 0, "second round must hit the cache");
     }
@@ -144,8 +157,7 @@ fn remainder_cached_equals_uncached() {
     let added2 = match_remaining_cached(
         old,
         new,
-        &old_recs,
-        &new_recs,
+        &Residue::new(&old_recs, &new_recs),
         &config,
         BlockingStrategy::Full,
         linkage_core::Parallelism::default(),

@@ -184,6 +184,66 @@ fn timeline_records_worker_events_without_changing_the_result() {
 }
 
 #[test]
+fn footprints_cover_the_index_space_structures() {
+    // the pair-score cache, each iteration's pre-matching and the
+    // scoring workers' tile scratch are snapshotted, per-iteration
+    // structures once per δ step, and the trace stays valid
+    let series = pair();
+    let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
+    for threads in [1, 2] {
+        let obs = Collector::enabled();
+        let config = LinkageConfig {
+            threads,
+            parallel_cutoff: 0,
+            ..LinkageConfig::default()
+        };
+        let result = link_traced(old, new, &config, &obs);
+        let trace = obs.finish();
+        trace.validate_pipeline().expect("valid trace");
+        let snapshots = |name: &str| {
+            trace
+                .footprints
+                .iter()
+                .filter(|f| f.structure == name)
+                .collect::<Vec<_>>()
+        };
+        for name in [
+            "pair_score_cache",
+            "tile_scratch",
+            "graph_positions",
+            "residue",
+        ] {
+            assert!(
+                !snapshots(name).is_empty(),
+                "{threads} thread(s): no {name} footprint"
+            );
+        }
+        let prematch = snapshots("prematch");
+        assert_eq!(
+            prematch.len(),
+            result.iterations.len(),
+            "one prematch snapshot a δ step"
+        );
+        for (snap, stats) in prematch.iter().zip(&result.iterations) {
+            // one element per match pair, anchors included, at 12 bytes
+            // a pair plus the per-record labels, sizes and row offsets
+            assert_eq!(snap.elements, stats.prematch_pairs as u64);
+            assert!(
+                snap.bytes >= 12 * snap.elements,
+                "prematch bytes {}",
+                snap.bytes
+            );
+        }
+        let cache = &snapshots("pair_score_cache")[0];
+        assert!(
+            cache.bytes < 13 * cache.elements + 8 * 4096,
+            "cache bytes {}",
+            cache.bytes
+        );
+    }
+}
+
+#[test]
 fn disabled_collector_records_nothing() {
     let series = pair();
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);

@@ -48,7 +48,7 @@ pub struct SubgraphEdge {
 }
 
 /// The common subgraph of one household pair.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MatchedSubgraph {
     /// Vertices: `(old record, new record)` pairs with equal labels.
     pub vertices: Vec<(RecordId, RecordId)>,
@@ -105,23 +105,33 @@ where
     match_subgraph_with(
         old,
         new,
-        label_of_old,
-        label_of_new,
-        accept,
+        |i| label_of_old(old.nodes()[i]),
+        |j| label_of_new(new.nodes()[j]),
+        |i, j| accept(old.nodes()[i], new.nodes()[j]),
         config,
         &mut SubgraphScratch::default(),
     )
 }
 
-/// Reusable buffers for repeated [`match_subgraph`] calls: households are
-/// small, so on a candidate sweep the per-call label and vertex-index
-/// vectors cost more in allocator traffic than the matching itself.
-/// [`match_subgraph_with`] borrows them from the caller instead.
+/// Reusable buffers for repeated [`match_subgraph_with`] calls:
+/// households are small, so on a candidate sweep the per-call label and
+/// vertex-index vectors cost more in allocator traffic than the matching
+/// itself.
 #[derive(Debug, Default)]
 pub struct SubgraphScratch {
     old_labels: Vec<Option<u64>>,
     new_labels: Vec<Option<u64>>,
     vert_idx: Vec<(usize, usize)>,
+}
+
+impl SubgraphScratch {
+    /// Node indices `(old node, new node)` of each vertex of the subgraph
+    /// last matched with this scratch, parallel to its
+    /// [`MatchedSubgraph::vertices`].
+    #[must_use]
+    pub fn vertex_nodes(&self) -> &[(usize, usize)] {
+        &self.vert_idx
+    }
 }
 
 impl obs::MemoryFootprint for SubgraphScratch {
@@ -133,8 +143,11 @@ impl obs::MemoryFootprint for SubgraphScratch {
     }
 }
 
-/// [`match_subgraph`] with caller-provided scratch buffers — identical
-/// result, no per-call label/index allocations.
+/// [`match_subgraph`] over node indices, with caller-provided scratch
+/// buffers: `label_of_old(i)` labels node `i` of `old`, `accept(i, j)`
+/// decides node pair `(i, j)`. Callers that keep per-node state in
+/// their own index space (the linker's pre-matching positions) look it
+/// up by node index directly, with no record-id hashing.
 pub fn match_subgraph_with<F, G, A>(
     old: &EnrichedGraph,
     new: &EnrichedGraph,
@@ -145,9 +158,9 @@ pub fn match_subgraph_with<F, G, A>(
     scratch: &mut SubgraphScratch,
 ) -> MatchedSubgraph
 where
-    F: Fn(RecordId) -> Option<u64>,
-    G: Fn(RecordId) -> Option<u64>,
-    A: Fn(RecordId, RecordId) -> bool,
+    F: Fn(usize) -> Option<u64>,
+    G: Fn(usize) -> Option<u64>,
+    A: Fn(usize, usize) -> bool,
 {
     let SubgraphScratch {
         old_labels,
@@ -155,19 +168,17 @@ where
         vert_idx,
     } = scratch;
     old_labels.clear();
-    old_labels.extend(old.nodes().iter().map(|&r| label_of_old(r)));
+    old_labels.extend((0..old.node_count()).map(&label_of_old));
     new_labels.clear();
-    new_labels.extend(new.nodes().iter().map(|&r| label_of_new(r)));
+    new_labels.extend((0..new.node_count()).map(&label_of_new));
 
     // vertices: equal-label cross pairs (node-index form)
     vert_idx.clear();
-    let mut vertices: Vec<(RecordId, RecordId)> = Vec::new();
     for (i, lo) in old_labels.iter().enumerate() {
         let Some(lo) = lo else { continue };
         for (j, ln) in new_labels.iter().enumerate() {
-            if Some(lo) == ln.as_ref() && accept(old.nodes()[i], new.nodes()[j]) {
+            if Some(lo) == ln.as_ref() && accept(i, j) {
                 vert_idx.push((i, j));
-                vertices.push((old.nodes()[i], new.nodes()[j]));
             }
         }
     }
@@ -199,7 +210,10 @@ where
     }
 
     MatchedSubgraph {
-        vertices,
+        vertices: vert_idx
+            .iter()
+            .map(|&(i, j)| (old.nodes()[i], new.nodes()[j]))
+            .collect(),
         edges,
         old_edge_count: old.edge_count(),
         new_edge_count: new.edge_count(),

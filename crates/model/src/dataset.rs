@@ -104,6 +104,12 @@ impl CensusDataset {
         self.record_index.get(&id).map(|&i| &self.records[i])
     }
 
+    /// Position of a record in [`Self::records`], by id.
+    #[must_use]
+    pub fn position(&self, id: RecordId) -> Option<usize> {
+        self.record_index.get(&id).copied()
+    }
+
     /// Look up a household by id.
     #[must_use]
     pub fn household(&self, id: HouseholdId) -> Option<&Household> {

@@ -225,6 +225,105 @@ fn thread_count_does_not_change_results() {
 }
 
 #[test]
+fn driver_and_budget_modes_do_not_change_results() {
+    // the recompute driver re-blocks and re-scores the residue at every
+    // δ step, and a zero memory budget refuses the pair-score cache (so
+    // it falls back to that driver) and every similarity table: both
+    // build each iteration's pre-matching at the fresh-scoring call site
+    // instead of the cache filter, and must reproduce the default
+    // incremental run exactly
+    let series = small_series(5);
+    let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
+    let base = link(old, new, &LinkageConfig::default());
+    assert!(!base.records.is_empty());
+    let modes = [
+        (
+            "recompute",
+            LinkageConfig {
+                incremental: false,
+                ..LinkageConfig::default()
+            },
+        ),
+        (
+            "zero budget",
+            LinkageConfig {
+                memory_budget: Some(0),
+                ..LinkageConfig::default()
+            },
+        ),
+    ];
+    for (mode, config) in modes {
+        let r = link(old, new, &config);
+        let rec = |x: &temporal_census_linkage::linkage::LinkageResult| {
+            x.records.iter().collect::<std::collections::BTreeSet<_>>()
+        };
+        let grp = |x: &temporal_census_linkage::linkage::LinkageResult| {
+            x.groups.iter().collect::<std::collections::BTreeSet<_>>()
+        };
+        assert_eq!(rec(&base), rec(&r), "records differ in {mode} mode");
+        assert_eq!(grp(&base), grp(&r), "groups differ in {mode} mode");
+        assert_eq!(
+            base.provenance, r.provenance,
+            "provenance differs in {mode} mode"
+        );
+    }
+}
+
+#[test]
+fn sparse_record_ids_link_like_dense_ones() {
+    // record ids are opaque labels: spreading them far apart, so that no
+    // dense id-indexed array could hold them, must not change a link
+    let sparse = |id: RecordId| RecordId(id.raw() * 100_000 + 7);
+    let dense = |id: RecordId| RecordId((id.raw() - 7) / 100_000);
+    let respace = |ds: &CensusDataset| {
+        let records = ds
+            .records()
+            .iter()
+            .map(|r| PersonRecord {
+                id: sparse(r.id),
+                ..r.clone()
+            })
+            .collect();
+        let households = ds
+            .households()
+            .iter()
+            .map(|h| Household::new(h.id, h.members.iter().map(|&m| sparse(m)).collect()))
+            .collect();
+        CensusDataset::new(ds.year, records, households).expect("re-spaced snapshot is valid")
+    };
+    for seed in [1, 42, 1851] {
+        let series = small_series(seed);
+        let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
+        let config = LinkageConfig::default();
+        let base = link(old, new, &config);
+        let spread = link(&respace(old), &respace(new), &config);
+        let records = |pairs: Vec<(RecordId, RecordId)>| {
+            pairs.into_iter().collect::<std::collections::BTreeSet<_>>()
+        };
+        assert_eq!(
+            records(base.records.iter().collect()),
+            records(
+                spread
+                    .records
+                    .iter()
+                    .map(|(o, n)| (dense(o), dense(n)))
+                    .collect()
+            ),
+            "seed {seed}: record mappings differ"
+        );
+        // household ids are untouched
+        let groups = |x: &temporal_census_linkage::linkage::LinkageResult| {
+            x.groups.iter().collect::<std::collections::BTreeSet<_>>()
+        };
+        assert_eq!(
+            groups(&base),
+            groups(&spread),
+            "seed {seed}: group mappings differ"
+        );
+    }
+}
+
+#[test]
 fn prematch_matches_the_per_pair_oracle() {
     // the batch kernel behind `prematch` must reproduce the per-pair
     // early-exit scorer bit for bit, serially (with similarity tables)
@@ -268,9 +367,11 @@ fn prematch_matches_the_per_pair_oracle() {
             None,
         );
         let got: std::collections::HashMap<(RecordId, RecordId), u64> = pm
-            .pair_sims
-            .iter()
-            .map(|(&pair, s)| (pair, s.to_bits()))
+            .pairs()
+            .map(|(i, j, s)| {
+                let pair = (old_recs[i as usize].id, new_recs[j as usize].id);
+                (pair, s.to_bits())
+            })
             .collect();
         assert_eq!(got.len(), oracle.len(), "match count at {threads} threads");
         assert!(got == oracle, "pair scores diverged at {threads} threads");
