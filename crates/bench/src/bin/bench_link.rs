@@ -1,7 +1,8 @@
-//! End-to-end wall-clock benchmark of the `link` pipeline: the
-//! incremental driver (cross-iteration pair-score cache) against the
-//! recompute-from-scratch driver, broken down per pipeline phase, at
-//! three synthetic scales.
+//! End-to-end wall-clock benchmark of the `link` pipeline: the default
+//! driver (a pair-score cache scored once at the schedule floor) against
+//! the budget-refused mode (a zero memory budget, so every δ step is
+//! scored by a cache built at that δ), broken down per pipeline phase,
+//! at three synthetic scales.
 //!
 //! The vendored `criterion` is a stub, so this is a plain binary:
 //!
@@ -21,11 +22,11 @@
 //! against the workload) against the same driver pinned to one shard,
 //! with per-shard work/memory summaries from the trace. The opt-in `XL`
 //! scale (≥500k records across the pair, `--scales XL`) exists for that
-//! headline alone and skips the recompute mode and the observability
+//! headline alone and skips the budget-refused mode and the observability
 //! ladder, whose quadratic pair count makes them hours-long there.
 //!
 //! Per scale the harness also measures observability overhead — the
-//! incremental pipeline with the collector disabled, enabled, enabled
+//! default pipeline with the collector disabled, enabled, enabled
 //! with decision logging, enabled with the worker timeline recorder,
 //! enabled with allocation tracking, and enabled with ground-truth
 //! quality telemetry — plus a memory summary (peak live bytes,
@@ -60,7 +61,7 @@ static ALLOC: obs::CountingAlloc = obs::CountingAlloc::system();
 struct Scale {
     label: &'static str,
     initial_households: usize,
-    /// Whether to run the full measurement ladder (recompute mode, obs
+    /// Whether to run the full measurement ladder (budget-refused mode, obs
     /// overhead rungs). XL is sized for the sharded-vs-single headline
     /// only — its quadratic pair count makes the full ladder hours-long.
     full_ladder: bool,
@@ -281,7 +282,7 @@ fn memory_summary(
 }
 
 /// Summaries of the distribution telemetry captured by the fastest
-/// incremental run.
+/// single-shard run.
 fn histograms_json(trace: &RunTrace) -> Value {
     Value::Seq(
         trace
@@ -442,7 +443,7 @@ fn main() {
         .unwrap_or_default();
     let before_ref = parse_flag(&mut args, "--before-ref");
     // skip the single-shard driver (and everything measured against it:
-    // recompute and obs ladders) — on small hosts the XL scale's
+    // budget-refused and obs ladders) — on small hosts the XL scale's
     // single-shard rung alone runs for tens of minutes, while the
     // sharded headline and its timeline/memory analytics stay tractable
     let skip_single = if let Some(pos) = args.iter().position(|a| a == "--skip-single") {
@@ -482,8 +483,8 @@ fn main() {
         if let Some(t) = threads {
             incremental_config.threads = t;
         }
-        let recompute_config = LinkageConfig {
-            incremental: false,
+        let budget_refused_config = LinkageConfig {
+            memory_budget: Some(0),
             ..incremental_config.clone()
         };
 
@@ -501,21 +502,24 @@ fn main() {
             new.records().len()
         );
         // the drivers are sampled interleaved — single-shard, sharded,
-        // recompute, repeat — so their best-of minima come from the
+        // budget-refused, repeat — so their best-of minima come from the
         // same machine-state window and host noise cancels out of the
         // speedup ratios (the same discipline as the obs-overhead
         // rung)
         let full = scale.full_ladder && !skip_single;
         let mut incremental: Option<Measurement> = None;
         let mut sharded: Option<Measurement> = None;
-        let mut recompute: Option<Measurement> = None;
+        let mut budget_refused: Option<Measurement> = None;
         for _ in 0..iters.max(1) {
             if !skip_single {
                 keep_best(&mut incremental, measure(old, new, &incremental_config));
             }
             keep_best(&mut sharded, measure(old, new, &sharded_config));
             if full {
-                keep_best(&mut recompute, measure(old, new, &recompute_config));
+                keep_best(
+                    &mut budget_refused,
+                    measure(old, new, &budget_refused_config),
+                );
             }
         }
         let sharded = sharded.expect("at least one iteration");
@@ -565,20 +569,20 @@ fn main() {
             let hist_trace = incremental.as_ref().map_or(&sharded.trace, |m| &m.trace);
             entries.push((Value::Str("histograms".into()), histograms_json(hist_trace)));
         }
-        if let (true, Some(incremental), Some(recompute)) = (full, &incremental, &recompute) {
+        if let (true, Some(incremental), Some(refused)) = (full, &incremental, &budget_refused) {
             assert_eq!(
-                recompute.record_links, incremental.record_links,
+                refused.record_links, incremental.record_links,
                 "modes must produce identical link counts"
             );
-            let speedup = recompute.total_us as f64 / incremental.total_us.max(1) as f64;
+            let speedup = refused.total_us as f64 / incremental.total_us.max(1) as f64;
             eprintln!(
-                "scale {}: recompute {:.1} ms, incremental {:.1} ms, speedup {speedup:.2}x",
+                "scale {}: budget-refused {:.1} ms, floor cache {:.1} ms, speedup {speedup:.2}x",
                 scale.label,
-                recompute.total_us as f64 / 1000.0,
+                refused.total_us as f64 / 1000.0,
                 incremental.total_us as f64 / 1000.0,
             );
             if let Value::Map(entries) = &mut row {
-                entries.push((Value::Str("recompute".into()), mode_json(recompute)));
+                entries.push((Value::Str("budget_refused".into()), mode_json(refused)));
                 entries.push((Value::Str("speedup".into()), Value::F64(speedup)));
                 entries.push((
                     Value::Str("obs_overhead".into()),

@@ -114,18 +114,15 @@ pub struct LinkageConfig {
     /// parallelism on small inputs; raise it to keep small iterations
     /// sequential.
     pub parallel_cutoff: usize,
-    /// Score every blocked pair once at `δ_low` and drive iterations ≥ 1
-    /// from the cached scores (filter-only). `agg_sim` is δ-independent,
-    /// so results are bit-identical to re-scoring each iteration
-    /// (`false` keeps the recompute-from-scratch path, mainly for
-    /// differential testing).
-    pub incremental: bool,
     /// Soft memory budget in bytes for the pipeline's caches (CLI
     /// `--mem-budget`). When set, a [`crate::MemGovernor`] degrades the
     /// similarity tables, the cross-iteration pair-score cache and the
     /// decision log to fit — every degradation falls back to
     /// recomputation, so linkage output is bit-identical under any
-    /// budget. `None` (the default) leaves every cache at its built-in
+    /// budget. The pair-score cache is scored once at `δ_low` and
+    /// filtered per δ step; a residue whose cache the budget refuses is
+    /// scored at the current δ instead, and the next residue is judged
+    /// afresh. `None` (the default) leaves every cache at its built-in
     /// cap.
     pub memory_budget: Option<u64>,
     /// Blocking-key shards for pair generation and scoring (CLI
@@ -230,7 +227,6 @@ impl Default for LinkageConfig {
             blocking: BlockingStrategy::Standard,
             threads: default_threads(),
             parallel_cutoff: DEFAULT_PARALLEL_CUTOFF,
-            incremental: true,
             memory_budget: None,
             shards: 1,
         }
@@ -290,7 +286,6 @@ mod tests {
     fn parallel_cutoff_gates_fanout() {
         let c = LinkageConfig::default();
         assert_eq!(c.parallel_cutoff, DEFAULT_PARALLEL_CUTOFF);
-        assert!(c.incremental);
         let par = Parallelism {
             threads: 4,
             cutoff: 100,

@@ -9,7 +9,7 @@ use crate::config::{LinkageConfig, Parallelism};
 use crate::csr::MergeRows;
 use crate::mem::MemGovernor;
 use crate::pairscore::{PairScoreCache, Residue};
-use crate::prematch::{score_matches, PreMatch};
+use crate::prematch::PreMatch;
 use crate::profiles::ProfileCache;
 use crate::remainder::match_remaining_cached;
 use crate::selection::{select_and_extract, RejectReason, ScoredSubgroup, SelectionOutcome};
@@ -407,10 +407,6 @@ impl<'a> Linker<'a> {
             shards: config.resolved_shards(self.old.records().len() + self.new.records().len()),
             ..config.parallelism()
         };
-        // the governor may veto the cross-iteration pair cache, dropping
-        // the run to the recompute-every-iteration path (bit-identical)
-        let mut incremental = config.incremental;
-
         // every pass works in record-position space: the residue is the
         // two snapshots with the linked records marked, and the pair
         // cache, the pre-matching and the graph positions index the same
@@ -428,9 +424,11 @@ impl<'a> Linker<'a> {
         // record's profile once and reuse it across the whole schedule
         // (and the remainder pass, whose specs usually coincide)
         let mut cache = ProfileCache::new();
-        // so is agg_sim itself: in incremental mode every blocked pair
-        // is scored once against the schedule floor, and later
-        // iterations only filter the cached scores
+        // so is agg_sim itself: every blocked pair is scored once
+        // against the schedule floor, and later iterations only filter
+        // the cached scores. When the budget refuses that cache, the
+        // build scores at the current δ instead and is rebuilt at every
+        // step, over a residue the gate judges afresh
         let mut pair_cache: Option<PairScoreCache> = None;
         // score the cache at the exact bound the loop's break condition
         // uses: float-stepped deltas can land marginally below δ_low, so
@@ -449,83 +447,47 @@ impl<'a> Linker<'a> {
                 obs::score_bp(delta),
                 Some(iter_idx),
             );
-            let sim = config.sim_func.with_threshold(delta);
             let pm = {
                 let _prematch = obs.span("prematch");
-                if incremental && pair_cache.is_none() {
-                    // the first iteration: nothing is linked yet, so the
-                    // cache is built over the whole residue index space
+                let reuse = pair_cache.as_ref().is_some_and(|pc| pc.floor() <= delta);
+                if !reuse {
+                    // drop the spent cache before its successor is built
+                    drop(pair_cache.take());
                     let build_sim = config.sim_func.with_threshold(floor);
-                    let (old_profiles, new_profiles) =
-                        cache.profiles(&build_sim, &all_old, &all_new);
-                    pair_cache = PairScoreCache::build(
-                        &all_old,
-                        &all_new,
+                    let (old_profiles, new_profiles) = cache.residue_profiles(&build_sim, &residue);
+                    let pc = PairScoreCache::build_residue(
+                        &residue,
                         &old_profiles,
                         &new_profiles,
                         year_gap,
                         &build_sim,
+                        Some(delta),
                         config.blocking,
                         par,
                         config.prematch_max_age_gap,
                         &mem,
                         obs,
-                    );
-                    // governor refused the cache: recompute per iteration
-                    incremental = pair_cache.is_some();
+                    )
+                    .expect("a refused floor cache falls back to δ");
+                    pc.report_prematch(obs);
+                    pair_cache = Some(pc);
                 }
+                let pc = pair_cache.as_ref().expect("a cache covers this δ");
                 // confirmed links ride along as anchors: two-record
                 // clusters with similarity 1.0, so later iterations see
                 // them as matched
-                let pm = if incremental {
-                    let pc = pair_cache.as_ref().expect("pair cache just built");
-                    let pm = PreMatch::from_sorted_pairs(
-                        n_old,
-                        n_new,
-                        MergeRows::new(pc.select_iter(delta, &residue), residue.anchors()),
-                    );
-                    if iter_idx > 0 {
-                        let hits = pm.match_count() - residue.linked();
-                        obs.add(Counter::PairCacheHits, hits as u64);
-                        obs.add(Counter::PairCacheFiltered, (pc.len() - hits) as u64);
-                    }
-                    pm
-                } else {
-                    let (old_pos, new_pos) = (residue.unlinked_old(), residue.unlinked_new());
-                    let remaining_old: Vec<&PersonRecord> =
-                        old_pos.iter().map(|&p| all_old[p as usize]).collect();
-                    let remaining_new: Vec<&PersonRecord> =
-                        new_pos.iter().map(|&q| all_new[q as usize]).collect();
-                    let (old_profiles, new_profiles) =
-                        cache.profiles_at(&sim, &all_old, &all_new, &old_pos, &new_pos);
-                    let matches = score_matches(
-                        &remaining_old,
-                        &remaining_new,
-                        &old_profiles,
-                        &new_profiles,
-                        year_gap,
-                        &sim,
-                        config.blocking,
-                        par,
-                        config.prematch_max_age_gap,
-                        &mem,
-                        obs,
-                    );
-                    // residue index → record position is increasing, so
-                    // the matches stay sorted
-                    let matches = matches
-                        .iter()
-                        .map(|&(i, j, s)| (old_pos[i as usize], new_pos[j as usize], s));
-                    PreMatch::from_sorted_pairs(
-                        n_old,
-                        n_new,
-                        MergeRows::new(matches, residue.anchors()),
-                    )
-                };
+                let pm = PreMatch::from_sorted_pairs(
+                    n_old,
+                    n_new,
+                    MergeRows::new(pc.select_iter(delta, &residue), residue.anchors()),
+                );
+                if reuse {
+                    let hits = pm.match_count() - residue.linked();
+                    obs.add(Counter::PairCacheHits, hits as u64);
+                    obs.add(Counter::PairCacheFiltered, (pc.len() - hits) as u64);
+                }
                 if obs.is_enabled() {
-                    if let Some(pc) = &pair_cache {
-                        obs.snapshot_footprint("pair_score_cache", pc.footprint());
-                    }
+                    obs.snapshot_footprint("pair_score_cache", pc.footprint());
                     obs.snapshot_footprint("profile_cache", cache.footprint());
                     obs.snapshot_footprint("prematch", pm.footprint());
                     obs.snapshot_footprint("residue", residue.footprint());
@@ -638,6 +600,7 @@ impl<'a> Linker<'a> {
                 &mut groups,
                 &mut cache,
                 pair_cache.as_ref(),
+                &mem,
                 obs,
             )
         };
@@ -756,17 +719,19 @@ mod tests {
     }
 
     #[test]
-    fn incremental_default_matches_recompute() {
+    fn floor_cache_matches_per_delta_cache() {
+        // a zero budget refuses the floor cache at every residue, so each
+        // δ step is scored by a cache built at that δ
         let series = generate_series(&SimConfig::small());
         let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
         let linker = Linker::new(old, new);
-        let incremental = linker.run(&LinkageConfig::default());
-        let recompute = linker.run(&LinkageConfig {
-            incremental: false,
+        let floor = linker.run(&LinkageConfig::default());
+        let per_delta = linker.run(&LinkageConfig {
+            memory_budget: Some(0),
             ..LinkageConfig::default()
         });
-        let a: std::collections::BTreeSet<_> = incremental.records.iter().collect();
-        let b: std::collections::BTreeSet<_> = recompute.records.iter().collect();
+        let a: std::collections::BTreeSet<_> = floor.records.iter().collect();
+        let b: std::collections::BTreeSet<_> = per_delta.records.iter().collect();
         assert_eq!(a, b);
     }
 

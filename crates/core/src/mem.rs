@@ -5,10 +5,10 @@
 //! structures. Every decision degrades a *cache*, never the algorithm:
 //! each structure it can refuse has a compute-everything fallback that
 //! is bit-identical in output (the similarity tables memoize a pure
-//! function, the pair-score cache reproduces a fresh scoring pass
-//! exactly, and the decision log only records provenance), so linkage
-//! results are the same under any budget — the differential test
-//! `tests/mem_budget.rs` holds the pipeline to that.
+//! function, a pair-score cache at any threshold ≤ δ reproduces a
+//! fresh scoring pass exactly, and the decision log only records
+//! provenance), so linkage results are the same under any budget — the
+//! differential test `tests/mem_budget.rs` holds the pipeline to that.
 //!
 //! # Budget shares
 //!
@@ -18,7 +18,7 @@
 //! | structure            | share  | fallback                          |
 //! |----------------------|--------|-----------------------------------|
 //! | per-attribute sim tables | 25% | direct `similarity()` computation |
-//! | pair-score cache     | 50%    | re-block + re-score per δ step    |
+//! | pair-score cache     | 50%    | a cache at δ, gated per residue   |
 //! | decision log         | 12.5%  | earlier record-cap truncation     |
 //!
 //! The remaining 12.5% is not governed. It covers the structures with

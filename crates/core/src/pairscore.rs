@@ -1,18 +1,20 @@
-//! Cross-iteration cache of candidate pair scores.
+//! Scored candidate pairs of a residue, cached across δ steps.
 //!
 //! The aggregated attribute similarity (Eq. 3) is δ-independent: a pair
-//! scored at δ = 0.70 has exactly the same `agg_sim` at δ = 0.65. The
-//! iterative driver (Algorithm 1) nevertheless used to re-block and
-//! re-score the residue at every δ step. [`PairScoreCache`] scores every
-//! blocked candidate pair **once**, with the acceptance threshold
-//! lowered to the schedule's floor (keeping early-exit pruning, now
-//! against that floor), and keeps every pair that reaches the floor as
+//! scored at δ = 0.70 has exactly the same `agg_sim` at δ = 0.65.
+//! [`PairScoreCache`] is the one way a residue becomes scored pairs: it
+//! blocks the residue's unlinked records once, scores them with the
+//! batch kernel at the schedule's floor (keeping early-exit pruning,
+//! against that floor) and keeps every pair that reaches it as
 //! compressed rows keyed by the old record's position (12 bytes a pair,
 //! see `crate::csr`). Each later iteration is then a filter-only pass
 //! over the rows of the [`Residue`]'s unlinked records — cached pairs
 //! with `agg_sim ≥ δ_current` whose new endpoint is unlinked too — with
 //! zero re-blocking, re-tokenisation or re-scoring, and no record-id
-//! lookups: the residue marks linked records by position.
+//! lookups: the residue marks linked records by position. When the
+//! memory budget refuses a floor cache, the build scores at the current
+//! δ instead; the driver rebuilds it over the next residue, where the
+//! budget gate is evaluated again.
 //!
 //! ## Why the filter is exact
 //!
@@ -24,14 +26,14 @@
 //! with bit-identical scores, and filtering it at δ reproduces a fresh
 //! scoring pass exactly. Residues preserve this: blocking keys are
 //! per-record, so the blocked pairs of a residue are precisely the
-//! blocked pairs of the full input restricted to residue endpoints, and
+//! blocked pairs of any earlier residue restricted to its endpoints, and
 //! the age-plausibility filter is per-pair and δ-independent.
 //!
 //! ## Observability
 //!
 //! Because pairs are scored once at the floor, the `pair_agg_sim_bp`
-//! histogram of a traced incremental run reflects the floor-scored pair
-//! set (everything with `agg_sim ≥ δ_low`), sampled at build time;
+//! histogram of a traced run reflects the floor-scored pair set
+//! (everything with `agg_sim ≥ δ_low`), sampled at build time;
 //! filter-only iterations add no histogram samples, only
 //! `pair_cache_hits`/`pair_cache_filtered` counters.
 
@@ -159,16 +161,20 @@ impl MemoryFootprint for Residue<'_> {
     }
 }
 
-/// Pair scores computed once per snapshot pair and filtered per δ step.
-/// See the module docs for the exactness argument.
+/// Pair scores computed once per residue and filtered per δ step — the
+/// one path by which records become scored pairs. See the module docs
+/// for the exactness argument.
 #[derive(Debug, Clone)]
 pub struct PairScoreCache {
     specs: Vec<AttributeSpec>,
-    /// The threshold the pairs were scored against (the schedule floor).
+    /// The threshold the pairs were scored against: the schedule floor,
+    /// or the current δ when the budget refused a floor cache.
     floor: f64,
     /// Age-plausibility tolerance applied before scoring, if any.
     tolerance: Option<u32>,
     strategy: BlockingStrategy,
+    /// Blocked pairs the build scored.
+    scored: u64,
     /// Every pair at or above the floor, as rows keyed by the old
     /// record's position in the build slices — the `(old, new)` order a
     /// fresh scoring pass yields.
@@ -183,10 +189,8 @@ impl PairScoreCache {
     /// Returns `None` when `mem` refuses the cache (its estimated size
     /// over the blocked pairs exceeds the pair-cache budget share) —
     /// recorded as a `mem_fallback_pair_cache` counter and trace event.
-    /// The caller then scores each δ iteration afresh, which produces
-    /// bit-identical match pairs (see the module docs). On the refusal
-    /// path no blocking counter is emitted: the fresh pass that replaces
-    /// the cache counts its own blocked pairs.
+    /// The driver's per-residue build, over a residue with nothing
+    /// linked.
     #[allow(clippy::too_many_arguments)] // the full pre-matching input set
     #[must_use]
     pub fn build(
@@ -202,35 +206,107 @@ impl PairScoreCache {
         mem: &MemGovernor,
         obs: &Collector,
     ) -> Option<Self> {
-        let matches = {
+        Self::build_residue(
+            &Residue::new(old, new),
+            old_profiles,
+            new_profiles,
+            year_gap,
+            sim,
+            None,
+            strategy,
+            par,
+            max_age_gap,
+            mem,
+            obs,
+        )
+    }
+
+    /// Block the unlinked records of `residue` once (their profiles are
+    /// `old_profiles` / `new_profiles`, in position order), score them
+    /// with the batch kernel and lay the matches out as rows over the
+    /// residue's positions. The budget gate picks the threshold after
+    /// blocking: `sim`'s (the schedule floor) when `mem` admits a cache
+    /// over the blocked pairs, `fallback` otherwise — or no cache, when
+    /// there is no fallback. A fallback equal to the floor has nothing
+    /// to gate.
+    #[allow(clippy::too_many_arguments)] // the full pre-matching input set
+    pub(crate) fn build_residue(
+        residue: &Residue,
+        old_profiles: &[&CompiledProfile],
+        new_profiles: &[&CompiledProfile],
+        year_gap: i64,
+        sim: &SimFunc,
+        fallback: Option<f64>,
+        strategy: BlockingStrategy,
+        par: Parallelism,
+        max_age_gap: Option<u32>,
+        mem: &MemGovernor,
+        obs: &Collector,
+    ) -> Option<Self> {
+        let (old_pos, new_pos) = (residue.unlinked_old(), residue.unlinked_new());
+        debug_assert_eq!(old_pos.len(), old_profiles.len());
+        debug_assert_eq!(new_pos.len(), new_profiles.len());
+        let (threshold, scored, matches) = {
+            let old: Vec<&PersonRecord> =
+                old_pos.iter().map(|&p| residue.old[p as usize]).collect();
+            let new: Vec<&PersonRecord> =
+                new_pos.iter().map(|&q| residue.new[q as usize]).collect();
             // the budget gate sees the deduplicated pair count before any
             // scoring starts; the blocked pairs are dropped once scored
-            let blocked = Blocked::generate(old, new, year_gap, strategy, par, max_age_gap, obs);
+            let blocked = Blocked::generate(&old, &new, year_gap, strategy, par, max_age_gap, obs);
             let n_pairs = blocked.len();
-            if !mem.allow_pair_cache(n_pairs) {
+            obs.add(Counter::BlockingPairsGenerated, n_pairs as u64);
+            let threshold = if fallback == Some(sim.threshold) || mem.allow_pair_cache(n_pairs) {
+                sim.threshold
+            } else {
                 obs.add(Counter::MemFallbackPairCache, 1);
                 obs.event(
                     "mem_fallback_pair_cache",
                     format!(
                         "pair-score cache over {n_pairs} blocked pairs (~{} bytes) exceeds the \
-                         budget share; re-scoring every iteration",
+                         budget share; not scoring at the floor",
                         n_pairs as u64 * MemGovernor::PAIR_ENTRY_BYTES
                     ),
                 );
-                return None;
-            }
-            obs.add(Counter::BlockingPairsGenerated, n_pairs as u64);
-            blocked.score(old_profiles, new_profiles, sim, par, mem, obs)
+                fallback?
+            };
+            let sim = sim.with_threshold(threshold);
+            let matches = blocked.score(old_profiles, new_profiles, &sim, par, mem, obs);
+            (threshold, n_pairs as u64, matches)
         };
         Some(Self {
             specs: sim.specs().to_vec(),
-            floor: sim.threshold,
+            floor: threshold,
             tolerance: max_age_gap,
             strategy,
-            // the kernel's output is already sorted by (old, new): one
-            // linear pass lays it out as rows
-            pairs: MatchCsr::from_sorted(old.len(), matches.iter().copied()),
+            scored,
+            // the kernel's output is sorted by (old, new) and the residue
+            // positions ascend, so one linear pass lays it out as rows
+            pairs: MatchCsr::from_sorted(
+                residue.old.len(),
+                matches
+                    .iter()
+                    .map(|&(i, j, s)| (old_pos[i as usize], new_pos[j as usize], s)),
+            ),
         })
+    }
+
+    /// Report the build as a δ-schedule pre-matching pass: the blocked
+    /// pairs it scored and the matches it kept.
+    pub(crate) fn report_prematch(&self, obs: &Collector) {
+        obs.add(Counter::PrematchPairsScored, self.scored);
+        obs.add(Counter::PrematchPairsMatched, self.pairs.len() as u64);
+    }
+
+    /// Blocked pairs the build scored.
+    pub(crate) fn scored(&self) -> u64 {
+        self.scored
+    }
+
+    /// The scored pairs as rows, for a pre-matching over the build
+    /// slices.
+    pub(crate) fn into_pairs(self) -> MatchCsr {
+        self.pairs
     }
 
     /// Number of cached pairs (everything at or above the floor).

@@ -1,4 +1,7 @@
-//! The iterative linkage driver (Algorithm 1).
+//! Entry points and result types of the linkage (Algorithm 1): `link`,
+//! `link_traced` and `link_series`, the per-link provenance and the
+//! per-iteration statistics. The iterative driver itself is
+//! [`crate::Linker`].
 
 use crate::config::LinkageConfig;
 use census_model::{CensusDataset, GroupMapping, RecordId, RecordMapping};

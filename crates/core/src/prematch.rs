@@ -5,14 +5,15 @@
 //! attribute similarity (Eq. 3); pairs at or above δ become match pairs;
 //! the connected components of the match pairs become clusters, and every
 //! record is assigned its cluster label. Scoring is parallelised across
-//! worker threads with `crossbeam` scoped threads.
+//! the shard pool's worker threads (`crate::shard::run_sharded`).
 
 use crate::blocking::{candidate_pairs_filtered, BlockingStrategy};
 use crate::cluster::UnionFind;
 use crate::config::Parallelism;
 use crate::csr::MatchCsr;
 use crate::mem::MemGovernor;
-use crate::shard::{sharded_candidate_pairs, sharded_scores, ShardedPairs};
+use crate::pairscore::{PairScoreCache, Residue};
+use crate::shard::{run_sharded, sharded_candidate_pairs, sharded_scores, ShardedPairs};
 use crate::simfunc::{CompiledProfile, SimFunc};
 use census_model::PersonRecord;
 use obs::{Collector, Counter, EventKind, Footprint, MemoryFootprint};
@@ -517,7 +518,13 @@ impl PreMatch {
         I: IntoIterator<Item = (u32, u32, f64)>,
         I::IntoIter: Clone,
     {
-        let pairs = MatchCsr::from_sorted(old_len, pairs);
+        Self::from_csr(MatchCsr::from_sorted(old_len, pairs), new_len)
+    }
+
+    /// Cluster the match pairs of `pairs` (one row per old position) over
+    /// `new_len` new positions.
+    fn from_csr(pairs: MatchCsr, new_len: usize) -> Self {
+        let old_len = pairs.rows();
         let mut uf = UnionFind::new(old_len + new_len);
         for (p, q, _) in pairs.iter() {
             uf.union(p as usize, old_len + q as usize);
@@ -618,7 +625,6 @@ pub(crate) fn score_pairs(
     if pairs.is_empty() {
         return Vec::new();
     }
-    obs.add(Counter::PrematchPairsScored, pairs.len() as u64);
     let ids = ValueIds::build(old_profiles, new_profiles);
     let arenas = ids.arenas();
     if obs.is_enabled() {
@@ -658,44 +664,35 @@ pub(crate) fn score_pairs(
         // the workers on its lock, and per-worker tables would multiply
         // the memo's memory by the thread count.
         let chunk = pairs.len().div_ceil(par.threads.max(1));
-        let parts: Vec<(Matches, Footprint)> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = pairs
-                .chunks(chunk)
-                .enumerate()
-                .map(|(ci, slice)| {
-                    let (ids, arenas) = (&ids, &arenas);
-                    scope.spawn(move |_| {
-                        // one spawn per tile: the chunk index is the
-                        // worker's stable identity for attribution
-                        let t0 = obs.timeline_start();
-                        let start = Instant::now();
-                        let mut stats = BatchStats::default();
-                        let mut tables: Vec<Option<SimTable>> =
-                            (0..ids.n_specs).map(|_| None).collect();
-                        let scored = batch_score_into(
-                            slice,
-                            sim,
-                            ids,
-                            &RowLookup::Direct,
-                            arenas,
-                            &mut tables,
-                            &mut stats,
-                        );
-                        stats.report(obs);
-                        obs.thread_chunk("prematch", None, ci, ci, slice.len(), start.elapsed());
-                        if let Some(t0) = t0 {
-                            obs.timeline_task(ci, EventKind::PrematchTile, ci as u64, None, t0);
-                        }
-                        scored
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scoring worker panicked"))
-                .collect()
-        })
-        .expect("crossbeam scope");
+        let chunks: Vec<&[(u32, u32)]> = pairs.chunks(chunk).collect();
+        let parts = run_sharded(chunks.len(), par.threads, obs, |ci, worker| {
+            let t0 = obs.timeline_start();
+            let start = Instant::now();
+            let mut stats = BatchStats::default();
+            let mut tables: Vec<Option<SimTable>> = (0..ids.n_specs).map(|_| None).collect();
+            let scored = batch_score_into(
+                chunks[ci],
+                sim,
+                &ids,
+                &RowLookup::Direct,
+                &arenas,
+                &mut tables,
+                &mut stats,
+            );
+            stats.report(obs);
+            obs.thread_chunk(
+                "prematch",
+                None,
+                ci,
+                worker,
+                chunks[ci].len(),
+                start.elapsed(),
+            );
+            if let Some(t0) = t0 {
+                obs.timeline_task(worker, EventKind::PrematchTile, ci as u64, None, t0);
+            }
+            scored
+        });
         // the workers' scratch is live at the same time: report the sum
         if obs.is_enabled() {
             let scratch = parts
@@ -714,7 +711,6 @@ pub(crate) fn score_pairs(
         }
         out
     };
-    obs.add(Counter::PrematchPairsMatched, out.len() as u64);
     sample_match_scores(&out, obs);
     out
 }
@@ -866,45 +862,22 @@ pub fn prematch_with_profiles(
     mem: &MemGovernor,
     obs: &Collector,
 ) -> PreMatch {
-    let matches = score_matches(
-        old,
-        new,
+    let scored = PairScoreCache::build_residue(
+        &Residue::new(old, new),
         old_profiles,
         new_profiles,
         year_gap,
         sim,
+        Some(sim.threshold),
         strategy,
         par,
         max_age_gap,
         mem,
         obs,
-    );
-    PreMatch::from_sorted_pairs(old.len(), new.len(), matches.iter().copied())
-}
-
-/// Block and score `old × new` at `sim`'s threshold: the `(old index,
-/// new index, agg_sim)` match pairs sorted by `(old, new)`, with the
-/// blocked-pair count reported to `obs`. [`prematch_with_profiles`]
-/// without the clustering.
-#[allow(clippy::too_many_arguments)] // prematch_with_profiles' inputs
-pub(crate) fn score_matches(
-    old: &[&PersonRecord],
-    new: &[&PersonRecord],
-    old_profiles: &[&CompiledProfile],
-    new_profiles: &[&CompiledProfile],
-    year_gap: i64,
-    sim: &SimFunc,
-    strategy: BlockingStrategy,
-    par: Parallelism,
-    max_age_gap: Option<u32>,
-    mem: &MemGovernor,
-    obs: &Collector,
-) -> Vec<(u32, u32, f64)> {
-    debug_assert_eq!(old.len(), old_profiles.len());
-    debug_assert_eq!(new.len(), new_profiles.len());
-    let blocked = Blocked::generate(old, new, year_gap, strategy, par, max_age_gap, obs);
-    obs.add(Counter::BlockingPairsGenerated, blocked.len() as u64);
-    blocked.score(old_profiles, new_profiles, sim, par, mem, obs)
+    )
+    .expect("a build at its own fallback is never refused");
+    scored.report_prematch(obs);
+    PreMatch::from_csr(scored.into_pairs(), new.len())
 }
 
 /// The candidate pairs of one blocking pass, in the shape the engine
@@ -978,19 +951,6 @@ impl Blocked {
             Self::Flat(pairs) => score_pairs(pairs, old_profiles, new_profiles, sim, par, mem, obs),
             Self::Sharded(sharded) => {
                 sharded_scores(sharded, old_profiles, new_profiles, sim, par, mem, obs)
-            }
-        }
-    }
-
-    /// The pairs as one sorted list: per-shard sets are disjoint, so
-    /// sorting their union reproduces the flat list exactly.
-    pub(crate) fn into_sorted_pairs(self) -> Vec<(u32, u32)> {
-        match self {
-            Self::Flat(pairs) => pairs,
-            Self::Sharded(sharded) => {
-                let mut flat: Vec<(u32, u32)> = sharded.per_shard.into_iter().flatten().collect();
-                flat.sort_unstable();
-                flat
             }
         }
     }

@@ -12,6 +12,7 @@
 //! slices — the index space of [`crate::Residue`] — so the slots are a
 //! plain vector whatever the record ids look like.
 
+use crate::pairscore::Residue;
 use crate::simfunc::{AttributeSpec, CompiledProfile, SimFunc};
 use census_model::PersonRecord;
 use obs::{Footprint, MemoryFootprint};
@@ -124,6 +125,23 @@ impl ProfileCache {
                 .collect()
         };
         (get(&self.old, old_pos), get(&self.new, new_pos))
+    }
+
+    /// [`ProfileCache::profiles_at`] for the unlinked records of
+    /// `residue`.
+    pub(crate) fn residue_profiles<'c>(
+        &'c mut self,
+        sim: &SimFunc,
+        residue: &Residue,
+    ) -> (Vec<&'c CompiledProfile>, Vec<&'c CompiledProfile>) {
+        let (old_pos, new_pos) = (residue.unlinked_old(), residue.unlinked_new());
+        self.profiles_at(
+            sim,
+            residue.old_records(),
+            residue.new_records(),
+            &old_pos,
+            &new_pos,
+        )
     }
 
     /// Profiles compiled so far (cache misses).

@@ -7,8 +7,8 @@
 
 use crate::blocking::BlockingStrategy;
 use crate::config::{Parallelism, RemainderConfig};
+use crate::mem::MemGovernor;
 use crate::pairscore::{PairScoreCache, Residue};
-use crate::prematch::{age_plausible, Blocked};
 use crate::profiles::ProfileCache;
 use crate::simfunc::SimFunc;
 use census_model::{CensusDataset, GroupMapping, PersonRecord, RecordId, RecordMapping};
@@ -39,6 +39,7 @@ pub fn match_remaining(
         groups,
         &mut cache,
         None,
+        &MemGovernor::unlimited(),
         &Collector::disabled(),
     )
 }
@@ -51,8 +52,10 @@ pub fn match_remaining(
 /// (same specs, threshold at or above its floor, age filter no looser
 /// than its build — see [`PairScoreCache::covers`]), scoring is skipped
 /// entirely and the residue pairs are served from the cached scores;
-/// otherwise the pass blocks and scores afresh. Pair counters are
-/// reported to `obs` (pass [`Collector::disabled`] when not tracing).
+/// otherwise the pass builds a cache of its own over the residue, at
+/// the remainder function's threshold and age filter, with `mem`
+/// capping its similarity tables. Pair counters are reported to `obs`
+/// (pass [`Collector::disabled`] when not tracing).
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 1's inputs
 pub fn match_remaining_cached(
     old_ds: &CensusDataset,
@@ -65,83 +68,52 @@ pub fn match_remaining_cached(
     groups: &mut GroupMapping,
     cache: &mut ProfileCache,
     pair_cache: Option<&PairScoreCache>,
+    mem: &MemGovernor,
     obs: &Collector,
 ) -> Vec<(RecordId, RecordId)> {
-    let (old_pos, new_pos) = (residue.unlinked_old(), residue.unlinked_new());
-    if !config.enabled || old_pos.is_empty() || new_pos.is_empty() {
+    if !config.enabled || residue.unlinked_old().is_empty() || residue.unlinked_new().is_empty() {
         return Vec::new();
     }
     let year_gap = i64::from(new_ds.year - old_ds.year);
     let sim: &SimFunc = &config.sim_func;
     let served = pair_cache.filter(|pc| pc.covers(sim, config.max_age_gap, blocking));
-    let mut scored: Vec<(f64, RecordId, RecordId)> = if let Some(pc) = served {
-        // cache-served selection still walks the whole cached pair set:
-        // one worker-0 timeline event covers it, detail = pairs selected
-        let t0 = obs.timeline_start();
-        let scored = pc.select_remainder(sim, config.max_age_gap, year_gap, residue);
-        if let Some(t0) = t0 {
-            obs.timeline_task(0, EventKind::RemainderChunk, scored.len() as u64, None, t0);
+    let fresh;
+    let pc = match served {
+        Some(pc) => pc,
+        None => {
+            // a build of its own: pre-matching work inside the remainder
+            // phase, so its scoring events nest in a `prematch` span
+            let _prematch = obs.span("prematch");
+            let (old_profiles, new_profiles) = cache.residue_profiles(sim, residue);
+            fresh = PairScoreCache::build_residue(
+                residue,
+                &old_profiles,
+                &new_profiles,
+                year_gap,
+                sim,
+                Some(sim.threshold),
+                blocking,
+                par,
+                Some(config.max_age_gap),
+                mem,
+                obs,
+            )
+            .expect("a build at its own fallback is never refused");
+            obs.add(Counter::RemainderPairsScored, fresh.scored());
+            &fresh
         }
+    };
+    // selection walks the whole cached pair set: one worker-0 timeline
+    // event covers it, detail = pairs selected
+    let t0 = obs.timeline_start();
+    let mut scored = pc.select_remainder(sim, config.max_age_gap, year_gap, residue);
+    if let Some(t0) = t0 {
+        obs.timeline_task(0, EventKind::RemainderChunk, scored.len() as u64, None, t0);
+    }
+    if served.is_some() {
         obs.add(Counter::PairCacheHits, scored.len() as u64);
         obs.add(Counter::PairCacheFiltered, (pc.len() - scored.len()) as u64);
-        scored
-    } else {
-        let (all_old, all_new) = (residue.old_records(), residue.new_records());
-        let (old_profiles, new_profiles) =
-            cache.profiles_at(sim, all_old, all_new, &old_pos, &new_pos);
-        let remaining_old: Vec<&PersonRecord> =
-            old_pos.iter().map(|&p| all_old[p as usize]).collect();
-        let remaining_new: Vec<&PersonRecord> =
-            new_pos.iter().map(|&q| all_new[q as usize]).collect();
-        // the remainder's own age filter runs below, after blocking, so
-        // the pair counters see every blocked pair
-        let pairs = Blocked::generate(
-            &remaining_old,
-            &remaining_new,
-            year_gap,
-            blocking,
-            par,
-            None,
-            obs,
-        )
-        .into_sorted_pairs();
-        obs.add(Counter::BlockingPairsGenerated, pairs.len() as u64);
-        obs.add(Counter::RemainderPairsScored, pairs.len() as u64);
-        let n_pairs = pairs.len() as u64;
-        // the fresh pass scores serially on the driver thread: one
-        // worker-0 timeline event covering the whole scoring loop
-        let t0 = obs.timeline_start();
-        let mut prunes = 0u64;
-        let scored = pairs
-            .into_iter()
-            .filter_map(|(i, j)| {
-                let (o, n) = (remaining_old[i as usize], remaining_new[j as usize]);
-                if !age_plausible(o, n, year_gap, config.max_age_gap) {
-                    return None;
-                }
-                sim.matches_compiled_counted(
-                    old_profiles[i as usize],
-                    new_profiles[j as usize],
-                    &mut prunes,
-                )
-                .map(|s| (s, o.id, n.id))
-            })
-            .collect::<Vec<_>>();
-        if let Some(t0) = t0 {
-            obs.timeline_task(0, EventKind::RemainderChunk, n_pairs, None, t0);
-        }
-        obs.add(Counter::EarlyExitPrunes, prunes);
-        if obs.is_enabled() {
-            // cache-served scores were sampled when the cache was built;
-            // fresh scores flow into the same pair-score histogram here
-            let mut hist = obs::Histogram::new();
-            for &(s, _, _) in &scored {
-                hist.record(obs::score_bp(s));
-            }
-            obs.observe_hist(obs::LiveHist::PairScore, &hist);
-        }
-        scored
-    };
+    }
     // mutual-best filter: drop pairs whose runner-up on either side is
     // within the margin — those are exactly the ambiguous leftovers
     if config.mutual_best_margin > 0.0 {

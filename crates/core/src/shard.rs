@@ -30,7 +30,7 @@ use crate::prematch::{
 };
 use crate::simfunc::{CompiledProfile, SimFunc};
 use census_model::PersonRecord;
-use obs::{Collector, Counter, EventKind, Footprint, ShardStat};
+use obs::{Collector, EventKind, Footprint, ShardStat};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
@@ -128,7 +128,7 @@ pub(crate) struct ShardedPairs {
 /// sets are pairwise disjoint — every pair appears exactly once, in the
 /// shard that owns its highest-priority colliding key. Pass
 /// `max_age_gap: None` to reproduce the unfiltered `candidate_pairs`
-/// output (the remainder pass generates before its own age filter).
+/// output.
 pub(crate) fn sharded_candidate_pairs(
     old: &[&PersonRecord],
     new: &[&PersonRecord],
@@ -260,7 +260,6 @@ pub(crate) fn sharded_scores(
     if sharded.total == 0 {
         return Vec::new();
     }
-    obs.add(Counter::PrematchPairsScored, sharded.total as u64);
     // first plan of the run wins: this registers the headline prematch
     // plan the timeline's plan-quality ratio is judged against
     obs.timeline_plan(&sharded.plan_loads);
@@ -339,7 +338,6 @@ pub(crate) fn sharded_scores(
         obs.timeline_task(0, EventKind::Sort, merged.len() as u64, None, t0);
     }
     stats.report(obs);
-    obs.add(Counter::PrematchPairsMatched, merged.len() as u64);
     note_budget_rejected(obs, budget_rejected, max_cells);
     if obs.is_enabled() {
         obs.snapshot_footprint("sim_tables", fp);

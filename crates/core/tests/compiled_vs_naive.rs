@@ -165,6 +165,7 @@ fn remainder_cached_equals_uncached() {
         &mut groups,
         &mut cache,
         None,
+        &linkage_core::MemGovernor::unlimited(),
         &obs::Collector::disabled(),
     );
     assert_eq!(added1, added2);
@@ -190,22 +191,22 @@ fn full_pipeline_scores_are_unchanged_by_the_fast_path() {
     let r1 = linkage_core::link(old, new, &LinkageConfig::default());
     let r2 = linkage_core::link(old, new, &LinkageConfig::default());
     assert_eq!(r1.provenance, r2.provenance);
-    // incremental mode compiles each profile exactly once (the pair
-    // cache makes every later pass filter-only, so nothing re-requests
-    // them); the recompute path re-requests them every δ step
+    // the floor cache compiles each profile exactly once (every later
+    // pass is filter-only, so nothing re-requests them); a zero budget
+    // refuses it, and the per-δ caches re-request them every δ step
     assert!(r1.profiles_built > 0);
     assert_eq!(r1.profiles_reused, 0);
-    let recompute = linkage_core::link(
+    let per_delta = linkage_core::link(
         old,
         new,
         &LinkageConfig {
-            incremental: false,
+            memory_budget: Some(0),
             ..LinkageConfig::default()
         },
     );
-    assert_eq!(recompute.provenance, r1.provenance);
+    assert_eq!(per_delta.provenance, r1.provenance);
     assert!(
-        recompute.profiles_reused > 0,
-        "recompute δ schedule must reuse profiles"
+        per_delta.profiles_reused > 0,
+        "per-δ caches must reuse profiles"
     );
 }

@@ -1,19 +1,23 @@
-//! Differential suite: the incremental (score-once, filter-per-δ)
-//! driver must be **bit-identical** to the recompute-from-scratch
-//! driver — same record links, same group links, same provenance δs and
-//! g_sims, same per-iteration stats — across similarity functions,
-//! schedule floors and scales. `agg_sim` is δ-independent (Eq. 3), so
-//! any divergence is a bug in the pair-score cache, not a tolerance
-//! matter; every comparison is exact.
+//! Differential suite: floor cache vs per-δ cache. A run whose pair
+//! cache is scored once at the schedule floor and filtered per δ step
+//! must be **bit-identical** to one whose budget refuses that cache, so
+//! that every δ step is scored by a cache built at that δ over the
+//! current residue — same record links, same group links, same
+//! provenance δs and g_sims, same per-iteration stats — across
+//! similarity functions, schedule floors and scales. `agg_sim` is
+//! δ-independent (Eq. 3), so any divergence is a bug in the pair-score
+//! cache, not a tolerance matter; every comparison is exact.
 
 mod common;
 
 use common::{assert_links_identical, medium_pair_series, small_series};
 use linkage_core::{LinkageConfig, SimFunc};
 
-fn recompute(config: &LinkageConfig) -> LinkageConfig {
+/// The same configuration with a zero memory budget: the gate refuses
+/// the floor cache at every residue.
+fn per_delta(config: &LinkageConfig) -> LinkageConfig {
     LinkageConfig {
-        incremental: false,
+        memory_budget: Some(0),
         ..config.clone()
     }
 }
@@ -33,7 +37,7 @@ fn small_scale_over_simfuncs_and_floors() {
                 old,
                 new,
                 &config,
-                &recompute(&config),
+                &per_delta(&config),
                 &format!("{name} δ_low={delta_low}"),
             );
         }
@@ -47,7 +51,7 @@ fn non_iterative_schedule_is_identical_too() {
     let series = small_series();
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
     let config = LinkageConfig::non_iterative();
-    assert_links_identical(old, new, &config, &recompute(&config), "non-iterative");
+    assert_links_identical(old, new, &config, &per_delta(&config), "non-iterative");
 }
 
 #[test]
@@ -57,5 +61,5 @@ fn medium_scale_series_is_identical() {
     let series = medium_pair_series();
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
     let config = LinkageConfig::default();
-    assert_links_identical(old, new, &config, &recompute(&config), "medium 2-snapshot");
+    assert_links_identical(old, new, &config, &per_delta(&config), "medium 2-snapshot");
 }

@@ -16,8 +16,18 @@ fn output_is_bit_identical_under_any_budget() {
     let series = small_series();
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
     let linker = Linker::new(old, new);
+    // the floor cache of an unbudgeted run is built over the whole input:
+    // its blocked pairs at 12 B a pair, against the 50% share, size a
+    // budget that refuses iteration 0's residue and admits any smaller
+    // one — the run switches to a floor cache after its first δ step
+    let first_residue = {
+        let obs = Collector::enabled();
+        let _ = linker.run_traced(&LinkageConfig::default(), &obs);
+        obs.finish().counter("blocking_pairs_generated")
+    };
+    let late_switch = Some(2 * 12 * first_residue - 2);
     // serial scoring reaches the sim-table path; the schedule reaches
-    // the pair-cache and per-iteration recompute paths
+    // the floor-cache and per-δ cache paths
     for threads in [1, 2] {
         let base_config = LinkageConfig {
             threads,
@@ -27,16 +37,37 @@ fn output_is_bit_identical_under_any_budget() {
         let baseline = linker.run(&base_config);
         assert!(!baseline.records.is_empty());
         let expected = link_sets(&baseline);
-        for budget in [Some(0), Some(64 << 10), Some(4 << 20), None] {
-            let run = linker.run(&LinkageConfig {
-                memory_budget: budget,
-                ..base_config.clone()
-            });
+        // a zero budget (first in the sweep) scores every δ step with a
+        // cache of its own; only its remainder reuses one
+        let mut per_delta_hits = 0;
+        for budget in [Some(0), Some(64 << 10), late_switch, Some(4 << 20), None] {
+            let obs = Collector::enabled();
+            let run = linker.run_traced(
+                &LinkageConfig {
+                    memory_budget: budget,
+                    ..base_config.clone()
+                },
+                &obs,
+            );
             assert_eq!(
                 link_sets(&run),
                 expected,
                 "budget {budget:?} (threads {threads}) changed the linkage output"
             );
+            let trace = obs.finish();
+            if budget == Some(0) {
+                per_delta_hits = trace.counter("pair_cache_hits");
+            }
+            if budget == late_switch {
+                // refused at iteration 0 only, so iteration 1's residue
+                // got a floor cache, and the later δ steps reuse it
+                assert!(run.iterations.len() > 2, "schedule too short");
+                assert_eq!(trace.counter("mem_fallback_pair_cache"), 1);
+                assert!(
+                    trace.counter("pair_cache_hits") > per_delta_hits,
+                    "threads {threads}: no δ step reused a floor cache"
+                );
+            }
         }
     }
 }

@@ -9,14 +9,14 @@
 //! balanced shards, a prime count, auto-resolution, and pathological
 //! plans with far more shards than blocking keys (so most shards are
 //! empty) — across serial and multi-threaded execution, both schedule
-//! floors, and both the incremental and recompute drivers (the latter
-//! exercises the sharded remainder fresh path, which the pair cache
-//! otherwise serves).
+//! floors, the floor cache and the per-δ caches a zero budget forces,
+//! and a remainder function the pair cache cannot cover (so the
+//! remainder builds and scores its own cache through the shard plan).
 
 mod common;
 
 use common::{assert_same_result, canonical, medium_pair_series, small_series};
-use linkage_core::{link, link_series, LinkageConfig, Linker};
+use linkage_core::{link, link_series, LinkageConfig, Linker, RemainderConfig, SimFunc};
 use obs::{Collector, DecisionConfig};
 
 fn sharded(config: &LinkageConfig, shards: usize, threads: usize) -> LinkageConfig {
@@ -53,21 +53,36 @@ fn sharded_engine_is_bit_identical_across_shard_counts_threads_and_floors() {
 }
 
 #[test]
-fn recompute_driver_exercises_the_sharded_remainder_fresh_path() {
-    // without the pair cache the remainder pass re-blocks and re-scores
-    // its residue records itself — under sharding that generation runs
-    // through the shard plan and must flatten back to the same pairs
+fn per_delta_driver_exercises_the_sharded_remainder_fresh_path() {
+    // a zero budget scores every δ step with a cache built at that δ,
+    // and an ω1 remainder function has specs no pre-matching cache
+    // holds, so the remainder pass blocks and scores its residue itself
+    // — under sharding both run through the shard plan and must merge
+    // back to the same pairs
     let series = small_series();
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
     let base = LinkageConfig {
-        incremental: false,
+        memory_budget: Some(0),
+        remainder: RemainderConfig {
+            sim_func: SimFunc::omega1(0.78),
+            ..RemainderConfig::default()
+        },
         ..LinkageConfig::default()
     };
     let reference = link(old, new, &sharded(&base, 1, 1));
     for shards in [2, 7] {
         let run = link(old, new, &sharded(&base, shards, 1));
-        assert_same_result(&run, &reference, &format!("recompute shards={shards}"));
+        assert_same_result(&run, &reference, &format!("per-δ shards={shards}"));
     }
+    // the path the test names is the one that ran: the remainder scored
+    // pairs of its own, and its sharded scoring events sit inside spans
+    // of their phase
+    let obs = Collector::enabled().with_timeline();
+    let traced = Linker::new_traced(old, new, &obs).run_traced(&sharded(&base, 7, 2), &obs);
+    let trace = obs.finish();
+    assert_same_result(&traced, &reference, "traced per-δ shards=7");
+    assert!(trace.counter("remainder_pairs_scored") > 0);
+    trace.validate_pipeline().expect("valid trace");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! accompanies, and tracing must never change the linkage outcome.
 
 use census_synth::{generate_series, SimConfig};
-use linkage_core::{link, link_traced, LinkageConfig};
+use linkage_core::{link, link_traced, LinkageConfig, RemainderConfig, SimFunc};
 use obs::{Collector, EventKind, PIPELINE_PHASES};
 
 fn pair() -> census_synth::CensusSeries {
@@ -107,7 +107,7 @@ fn counters_agree_with_result_fields() {
 
 #[test]
 fn pair_cache_scores_each_unique_pair_at_most_once() {
-    // the point of the incremental driver: across the *whole* δ schedule
+    // the point of the floor cache: across the *whole* δ schedule
     // (5 iterations by default), every unique blocked pair is scored at
     // most once — later iterations are served from the pair-score cache
     let series = pair();
@@ -129,6 +129,40 @@ fn pair_cache_scores_each_unique_pair_at_most_once() {
     assert!(result.iterations.len() >= 2, "schedule must iterate");
     assert!(trace.counter("pair_cache_hits") > 0);
     assert!(trace.counter("blocking_pairs_generated") >= scored);
+}
+
+#[test]
+fn uncovered_remainder_counts_only_remainder_pairs() {
+    // an ω1 remainder function has specs the pre-matching cache does not
+    // hold, so the remainder builds a cache of its own: its pairs are
+    // counted as remainder pairs, never as δ-schedule pairs
+    let series = pair();
+    let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
+    let counters = |config: &LinkageConfig| {
+        let obs = Collector::enabled();
+        let _ = link_traced(old, new, config, &obs);
+        let trace = obs.finish();
+        (
+            trace.counter("prematch_pairs_scored"),
+            trace.counter("prematch_pairs_matched"),
+            trace.counter("remainder_pairs_scored"),
+        )
+    };
+    let default = counters(&LinkageConfig::default());
+    let uncovered = counters(&LinkageConfig {
+        remainder: RemainderConfig {
+            sim_func: SimFunc::omega1(0.78),
+            ..RemainderConfig::default()
+        },
+        ..LinkageConfig::default()
+    });
+    assert_eq!(default.2, 0, "default remainder is served from the cache");
+    assert!(uncovered.2 > 0, "uncovered remainder scored no pairs");
+    assert_eq!(
+        (uncovered.0, uncovered.1),
+        (default.0, default.1),
+        "the remainder's pairs leaked into the δ-schedule counters"
+    );
 }
 
 #[test]

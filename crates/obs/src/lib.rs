@@ -95,9 +95,11 @@ use std::time::{Duration, Instant};
 /// `fetch_add`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
-    /// Candidate record pairs scored by pre-matching.
+    /// Candidate record pairs scored by the δ schedule's pre-matching
+    /// (never by the remaining-records pass).
     PrematchPairsScored,
-    /// Pre-matching pairs at or above the δ threshold.
+    /// Pairs those passes kept: at or above the threshold they were
+    /// scored at (the schedule floor for a cached pass).
     PrematchPairsMatched,
     /// Pairs rejected by the descending-weight early-exit bound before
     /// all attributes were scored (pre-matching and remainder combined).
@@ -111,7 +113,8 @@ pub enum Counter {
     GroupLinksAccepted,
     /// Record links extracted from accepted subgraphs.
     RecordLinks,
-    /// Candidate pairs scored by the remaining-records pass.
+    /// Age-plausible candidate pairs scored by a remaining-records pass
+    /// the pre-matching cache could not serve (0 when it was served).
     RemainderPairsScored,
     /// Record links added by the remaining-records pass.
     RemainderLinks,
@@ -119,14 +122,14 @@ pub enum Counter {
     ProfilesBuilt,
     /// Compiled profiles served from the cache (hits).
     ProfilesReused,
-    /// Cached pair scores reused by an incremental filter-only pass
-    /// (iterations after the first, and a compatible remainder pass).
+    /// Cached pair scores reused by a filter-only pass over a cache built
+    /// by an earlier pass (later δ steps, and a covered remainder pass).
     PairCacheHits,
     /// Cached pair scores skipped by a filter-only pass (below the
     /// current δ, or an endpoint already linked).
     PairCacheFiltered,
-    /// Candidate pairs emitted by the blocking layer, before any
-    /// age-plausibility filtering.
+    /// Candidate pairs emitted by the blocking layer, after the
+    /// age-plausibility filter of the pass that blocked them, if any.
     BlockingPairsGenerated,
     /// Batch-kernel work items requested: scored pairs × attribute
     /// specs, before value-pair deduplication.
@@ -853,13 +856,19 @@ impl Collector {
     /// Record one shard's scoring telemetry. Thread-safe — workers on
     /// the sharded scoring pool report in completion order, and
     /// [`Collector::finish`] sorts rows by shard id so the assembled
-    /// trace is identical for any completion order. A no-op when
+    /// trace is identical for any completion order. As with
+    /// [`Collector::timeline_plan`], the first pass of the run wins: a
+    /// later sharded pass (a per-δ rebuild, the remainder's own scoring)
+    /// reports no rows for shard ids already recorded. A no-op when
     /// disabled.
     pub fn shard_stat(&self, stat: ShardStat) {
         if !self.enabled {
             return;
         }
-        lock_or_recover(&self.shard_stats).push(stat);
+        let mut stats = lock_or_recover(&self.shard_stats);
+        if stats.iter().all(|s| s.shard != stat.shard) {
+            stats.push(stat);
+        }
     }
 
     /// Record a point event (e.g. a memory-budget fallback), tagged
@@ -1540,6 +1549,29 @@ mod tests {
         assert_eq!(multi.runs.len(), 2);
         multi.validate().unwrap();
         assert_eq!(multi.run("pair").unwrap().counter("record_links"), 1);
+    }
+
+    #[test]
+    fn first_sharded_pass_keeps_its_shard_rows() {
+        let obs = Collector::enabled();
+        let stat = |shard, pairs| ShardStat {
+            shard,
+            keys: 1,
+            pairs,
+            matched: 0,
+            sim_table_bytes: 0,
+            sim_table_cells: 0,
+            duration_us: 1,
+        };
+        // a second pass over the same plan reports the same shard ids
+        for pairs in [10, 3] {
+            obs.shard_stat(stat(1, pairs));
+            obs.shard_stat(stat(0, pairs));
+        }
+        let trace = obs.finish();
+        trace.validate_basic().unwrap();
+        let rows: Vec<_> = trace.shards.iter().map(|s| (s.shard, s.pairs)).collect();
+        assert_eq!(rows, [(0, 10), (1, 10)]);
     }
 
     #[test]

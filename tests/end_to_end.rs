@@ -226,33 +226,45 @@ fn thread_count_does_not_change_results() {
 
 #[test]
 fn driver_and_budget_modes_do_not_change_results() {
-    // the recompute driver re-blocks and re-scores the residue at every
-    // δ step, and a zero memory budget refuses the pair-score cache (so
-    // it falls back to that driver) and every similarity table: both
-    // build each iteration's pre-matching at the fresh-scoring call site
-    // instead of the cache filter, and must reproduce the default
-    // incremental run exactly
+    // a zero memory budget refuses the floor pair-score cache at every
+    // residue (and every similarity table), so each δ step is scored by
+    // a cache built at that δ: it must reproduce the default run
+    // exactly. An ω1 remainder function has specs no pre-matching cache
+    // holds, so the remainder blocks and scores its residue itself; run
+    // under the per-δ caches and a sharded plan it must reproduce the
+    // same remainder over the unsharded floor cache
     let series = small_series(5);
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
-    let base = link(old, new, &LinkageConfig::default());
-    assert!(!base.records.is_empty());
+    let uncovered = LinkageConfig {
+        remainder: temporal_census_linkage::linkage::RemainderConfig {
+            sim_func: SimFunc::omega1(0.78),
+            ..Default::default()
+        },
+        ..LinkageConfig::default()
+    };
     let modes = [
         (
-            "recompute",
-            LinkageConfig {
-                incremental: false,
-                ..LinkageConfig::default()
-            },
-        ),
-        (
             "zero budget",
+            LinkageConfig::default(),
             LinkageConfig {
                 memory_budget: Some(0),
                 ..LinkageConfig::default()
             },
         ),
+        (
+            "uncovered remainder",
+            uncovered.clone(),
+            LinkageConfig {
+                memory_budget: Some(0),
+                shards: 7,
+                ..uncovered
+            },
+        ),
     ];
-    for (mode, config) in modes {
+    for (mode, base_config, config) in modes {
+        let base = link(old, new, &base_config);
+        assert!(!base.records.is_empty());
+        assert!(base.remainder_links > 0, "{mode}: no remainder links");
         let r = link(old, new, &config);
         let rec = |x: &temporal_census_linkage::linkage::LinkageResult| {
             x.records.iter().collect::<std::collections::BTreeSet<_>>()
@@ -384,9 +396,9 @@ fn profile_cache_reuses_profiles_across_iterations() {
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
     let total = old.records().len() + new.records().len();
 
-    // default (incremental) pipeline: pairs are scored once at the
-    // schedule floor, so each profile is compiled exactly once and no
-    // later pass needs to fetch it again
+    // default pipeline: pairs are scored once at the schedule floor, so
+    // each profile is compiled exactly once and no later pass needs to
+    // fetch it again
     let result = link(old, new, &LinkageConfig::default());
     assert!(
         result.profiles_built <= total,
@@ -395,25 +407,24 @@ fn profile_cache_reuses_profiles_across_iterations() {
     );
     assert!(result.profiles_built > 0);
 
-    // recompute pipeline: the iterative schedule re-scores residue
-    // records at δ−Δ and the remainder pass re-scores the leftovers —
-    // those must all be profile-cache hits
-    let recompute = link(
+    // zero budget: the floor cache is refused, so each δ step scores
+    // the residue records afresh — those must all be profile-cache hits
+    let per_delta = link(
         old,
         new,
         &LinkageConfig {
-            incremental: false,
+            memory_budget: Some(0),
             ..LinkageConfig::default()
         },
     );
     assert!(
-        recompute.profiles_built <= total,
+        per_delta.profiles_built <= total,
         "{} built, {total} records",
-        recompute.profiles_built
+        per_delta.profiles_built
     );
     assert!(
-        recompute.profiles_reused > 0,
-        "iterative recompute run should reuse cached profiles"
+        per_delta.profiles_reused > 0,
+        "per-δ caches should reuse cached profiles"
     );
 }
 
