@@ -1,7 +1,7 @@
 //! Group-pair similarity (§3.4, Eq. 4–7).
 
 use crate::prematch::PreMatch;
-use hhgraph::MatchedSubgraph;
+use hhgraph::{MatchedSubgraph, SubgraphEdge};
 use serde::{Deserialize, Serialize};
 
 /// The three component scores of a candidate group pair.
@@ -86,7 +86,33 @@ pub fn score_subgraph(
     fallback_sim: f64,
 ) -> GroupScore {
     debug_assert_eq!(positions.len(), sub.vertices.len());
-    if sub.vertices.is_empty() {
+    score_parts(
+        positions.iter().copied(),
+        &sub.edges,
+        (sub.old_edge_count, sub.new_edge_count),
+        pre,
+        fallback_sim,
+    )
+}
+
+/// Eq. 5–7 over a subgraph given by parts: its vertices' `(old, new)`
+/// positions in `pre`, its matched edges and the enriched edge counts
+/// `(|E_i|, |E_{i+1}|)` of the two groups. [`score_subgraph`] and the
+/// linker's candidate sweep (which scores a subgraph still held in
+/// matching scratch) both score through here, so a materialised
+/// candidate carries exactly the bits its gate saw.
+pub(crate) fn score_parts<I>(
+    positions: I,
+    edges: &[SubgraphEdge],
+    (old_edge_count, new_edge_count): (usize, usize),
+    pre: &PreMatch,
+    fallback_sim: f64,
+) -> GroupScore
+where
+    I: ExactSizeIterator<Item = (u32, u32)> + Clone,
+{
+    let n_vertices = positions.len();
+    if n_vertices == 0 {
         return GroupScore {
             avg_sim: 0.0,
             e_sim: 0.0,
@@ -95,24 +121,23 @@ pub fn score_subgraph(
     }
     // Eq. 5: average record similarity
     let sum_sim: f64 = positions
-        .iter()
-        .map(|&(p, q)| pre.sim(p as usize, q as usize).unwrap_or(fallback_sim))
+        .clone()
+        .map(|(p, q)| pre.sim(p as usize, q as usize).unwrap_or(fallback_sim))
         .sum();
-    let avg_sim = sum_sim / sub.vertices.len() as f64;
+    let avg_sim = sum_sim / n_vertices as f64;
 
     // Eq. 6: Dice-style edge similarity over the enriched edge counts
-    let denom = (sub.old_edge_count + sub.new_edge_count) as f64;
+    let denom = (old_edge_count + new_edge_count) as f64;
     let e_sim = if denom == 0.0 {
         0.0
     } else {
-        2.0 * sub.edge_sim_sum() / denom
+        2.0 * edges.iter().map(|e| e.rp_sim).sum::<f64>() / denom
     };
 
     // Eq. 7: uniqueness — 2·|R_sub| over the summed cluster sizes of the
     // vertices' labels
     let label_mass: u64 = positions
-        .iter()
-        .map(|&(p, _)| {
+        .map(|(p, _)| {
             pre.old_label(p as usize)
                 .map_or(0, |label| u64::from(pre.size_of_label(label)))
         })
@@ -120,7 +145,7 @@ pub fn score_subgraph(
     let unique = if label_mass == 0 {
         0.0
     } else {
-        2.0 * sub.vertices.len() as f64 / label_mass as f64
+        2.0 * n_vertices as f64 / label_mass as f64
     };
 
     GroupScore {
@@ -134,7 +159,6 @@ pub fn score_subgraph(
 mod tests {
     use super::*;
     use census_model::RecordId;
-    use hhgraph::SubgraphEdge;
 
     /// Positions of the paper example's vertices: old `i` ↔ new `i`.
     const POS: [(u32, u32); 3] = [(0, 0), (1, 1), (2, 2)];

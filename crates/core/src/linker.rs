@@ -7,12 +7,15 @@
 
 use crate::config::{LinkageConfig, Parallelism};
 use crate::csr::MergeRows;
+use crate::group_sim::score_parts;
 use crate::mem::MemGovernor;
 use crate::pairscore::{PairScoreCache, Residue};
 use crate::prematch::PreMatch;
 use crate::profiles::ProfileCache;
 use crate::remainder::match_remaining_cached;
-use crate::selection::{select_and_extract, RejectReason, ScoredSubgroup, SelectionOutcome};
+use crate::selection::{
+    below_min_g_sim, select_and_extract, RejectReason, ScoredSubgroup, SelectionOutcome,
+};
 use crate::{IterationStats, LinkPhase, LinkageResult};
 use census_model::{
     CensusDataset, GroupMapping, HouseholdId, PersonRecord, RecordId, RecordMapping,
@@ -82,6 +85,33 @@ impl MemoryFootprint for GraphPositions {
             self.pos.len() as u64,
         )
     }
+}
+
+/// Estimated footprint of a materialised candidate list: the list's
+/// buffer plus each candidate's vertex, position and edge storage.
+fn candidates_footprint(candidates: &Vec<ScoredSubgroup>) -> Footprint {
+    use obs::footprint::vec_capacity_bytes as cap;
+    let heap: u64 = candidates
+        .iter()
+        .map(|c| {
+            cap(&c.sub.vertices)
+                + cap(&c.sub.edges)
+                + std::mem::size_of_val::<[(u32, u32)]>(&c.positions) as u64
+        })
+        .sum();
+    Footprint::new(cap(candidates) + heap, candidates.len() as u64)
+}
+
+/// One worker's sweep over a run of household candidates.
+struct CandidateSweep {
+    /// The candidates kept for selection, in input order.
+    kept: Vec<ScoredSubgroup>,
+    /// Non-empty subgraphs matched, kept or not.
+    non_empty: usize,
+    /// Their vertex counts (traced runs only).
+    sizes: Option<Histogram>,
+    /// The matcher scratch's footprint when the sweep ended.
+    scratch: Footprint,
 }
 
 /// Precomputed state for linking one snapshot pair repeatedly.
@@ -266,7 +296,12 @@ impl<'a> Linker<'a> {
     ///
     /// Graph nodes are looked up in `pm` by their record positions: a
     /// label read and, for the accept check, a binary search within the
-    /// old record's match row.
+    /// old record's match row. Each subgraph is scored while it is still
+    /// in the matcher's scratch, and only candidates selection can accept
+    /// (`g_sim` at or above `min_g_sim`) are materialised — unless
+    /// `keep_all` is set, which auditing runs need to report every
+    /// loser. Returns the kept candidates and the number of non-empty
+    /// subgraphs matched, kept or not.
     #[allow(clippy::too_many_arguments)] // internal plumbing of run_traced
     fn score_candidates(
         &self,
@@ -275,40 +310,68 @@ impl<'a> Linker<'a> {
         config: &LinkageConfig,
         par: Parallelism,
         delta: f64,
+        keep_all: bool,
         iteration: usize,
         obs: &Collector,
-    ) -> Vec<ScoredSubgroup> {
-        let score_one = |&((go, gn), (gi_o, gi_n)): &GroupCandidate,
-                         scratch: &mut SubgraphScratch|
-         -> Option<ScoredSubgroup> {
-            let old_pos = self.old_positions.nodes(gi_o as usize);
-            let new_pos = self.new_positions.nodes(gi_n as usize);
-            let sub = match_subgraph_with(
-                &self.old_graphs[gi_o as usize],
-                &self.new_graphs[gi_n as usize],
-                |i| pm.old_label(old_pos[i] as usize).map(u64::from),
-                |j| pm.new_label(new_pos[j] as usize).map(u64::from),
-                |i, j| pm.sim(old_pos[i] as usize, new_pos[j] as usize).is_some(),
-                &config.subgraph,
-                scratch,
-            );
-            if sub.is_empty() {
-                return None;
+    ) -> (Vec<ScoredSubgroup>, usize) {
+        let sweep = |cands: &[GroupCandidate]| {
+            let mut scratch = SubgraphScratch::default();
+            let mut sizes = obs.is_enabled().then(Histogram::new);
+            let mut non_empty = 0usize;
+            let mut kept = Vec::new();
+            for &((go, gn), (gi_o, gi_n)) in cands {
+                let (g_old, g_new) = (
+                    &self.old_graphs[gi_o as usize],
+                    &self.new_graphs[gi_n as usize],
+                );
+                let old_pos = self.old_positions.nodes(gi_o as usize);
+                let new_pos = self.new_positions.nodes(gi_n as usize);
+                match_subgraph_with(
+                    g_old,
+                    g_new,
+                    |i| pm.old_label(old_pos[i] as usize).map(u64::from),
+                    |j| pm.new_label(new_pos[j] as usize).map(u64::from),
+                    |i, j| pm.sim(old_pos[i] as usize, new_pos[j] as usize).is_some(),
+                    &config.subgraph,
+                    &mut scratch,
+                );
+                if scratch.is_empty() {
+                    continue;
+                }
+                non_empty += 1;
+                if let Some(sizes) = &mut sizes {
+                    sizes.record(scratch.vertex_nodes().len() as u64);
+                }
+                let positions = scratch
+                    .vertex_nodes()
+                    .iter()
+                    .map(|&(i, j)| (old_pos[i], new_pos[j]));
+                let score = score_parts(
+                    positions.clone(),
+                    scratch.edges(),
+                    scratch.edge_counts(),
+                    pm,
+                    delta,
+                );
+                let g_sim = config.weights.g_sim(&score);
+                if !keep_all && below_min_g_sim(g_sim, config.min_g_sim) {
+                    continue;
+                }
+                kept.push(ScoredSubgroup {
+                    old: go,
+                    new: gn,
+                    sub: scratch.materialize(g_old, g_new),
+                    positions: positions.collect(),
+                    score,
+                    g_sim,
+                });
             }
-            let positions = scratch
-                .vertex_nodes()
-                .iter()
-                .map(|&(i, j)| (old_pos[i], new_pos[j]))
-                .collect();
-            Some(ScoredSubgroup::new(
-                go,
-                gn,
-                sub,
-                positions,
-                pm,
-                config.weights,
-                delta,
-            ))
+            CandidateSweep {
+                kept,
+                non_empty,
+                sizes,
+                scratch: scratch.footprint(),
+            }
         };
         obs.add(Counter::SubgraphPairsScored, cand_list.len() as u64);
         let threads = par.threads.max(1);
@@ -316,16 +379,8 @@ impl<'a> Linker<'a> {
         // household candidates carry more work per item than record
         // pairs, so fan out at half the configured pair cutoff
         let chunked = shards > 1 || threads > 1;
-        let scored = if !chunked || cand_list.len() < config.parallel_cutoff / 2 {
-            let mut scratch = SubgraphScratch::default();
-            let out: Vec<ScoredSubgroup> = cand_list
-                .iter()
-                .filter_map(|c| score_one(c, &mut scratch))
-                .collect();
-            if obs.is_enabled() {
-                obs.snapshot_footprint("subgraph_scratch", scratch.footprint());
-            }
-            out
+        let parts = if !chunked || cand_list.len() < config.parallel_cutoff / 2 {
+            vec![sweep(cand_list)]
         } else {
             // a sharded run splits into one chunk per shard (each with
             // its own scratch); an unsharded parallel run keeps the
@@ -335,14 +390,10 @@ impl<'a> Linker<'a> {
             let n_chunks = if shards > 1 { shards } else { threads };
             let chunk = cand_list.len().div_ceil(n_chunks).max(1);
             let chunks: Vec<&[GroupCandidate]> = cand_list.chunks(chunk).collect();
-            let results = crate::shard::run_sharded(chunks.len(), threads, obs, |ci, worker| {
+            crate::shard::run_sharded(chunks.len(), threads, obs, |ci, worker| {
                 let t0 = obs.timeline_start();
                 let start = Instant::now();
-                let mut scratch = SubgraphScratch::default();
-                let scored = chunks[ci]
-                    .iter()
-                    .filter_map(|c| score_one(c, &mut scratch))
-                    .collect::<Vec<_>>();
+                let part = sweep(chunks[ci]);
                 obs.thread_chunk(
                     "subgraph",
                     Some(iteration),
@@ -360,19 +411,32 @@ impl<'a> Linker<'a> {
                         t0,
                     );
                 }
-                scored
-            });
-            results.into_iter().flatten().collect()
+                part
+            })
         };
-        obs.add(Counter::GroupCandidates, scored.len() as u64);
+        let non_empty = parts.iter().map(|p| p.non_empty).sum();
+        obs.add(Counter::GroupCandidates, non_empty as u64);
         if obs.is_enabled() {
             let mut sizes = Histogram::new();
-            for c in &scored {
-                sizes.record(c.sub.vertices.len() as u64);
+            for part_sizes in parts.iter().filter_map(|p| p.sizes.as_ref()) {
+                sizes.merge(part_sizes);
             }
             obs.observe_hist(LiveHist::SubgraphSize, &sizes);
+            // each chunk frees its scratch when it ends, so at most one
+            // per worker is live at once: sum the largest `threads`
+            let mut scratch: Vec<Footprint> = parts.iter().map(|p| p.scratch).collect();
+            scratch.sort_unstable_by_key(|fp| std::cmp::Reverse(fp.bytes));
+            let live = scratch
+                .iter()
+                .take(threads)
+                .fold(Footprint::ZERO, |acc, fp| acc.plus(*fp));
+            obs.snapshot_footprint("subgraph_scratch", live);
         }
-        scored
+        let kept: Vec<ScoredSubgroup> = parts.into_iter().flat_map(|p| p.kept).collect();
+        if obs.is_enabled() {
+            obs.snapshot_footprint("group_candidates", candidates_footprint(&kept));
+        }
+        (kept, non_empty)
     }
 
     /// Run Algorithm 1 with the given configuration, reusing the cached
@@ -495,19 +559,22 @@ impl<'a> Linker<'a> {
                 pm
             };
 
-            let candidates = {
+            // truth telemetry reuses the audit plumbing: rejections are
+            // recorded either way, and `select_and_extract` is
+            // audit-neutral, so the mappings stay bit-identical. An
+            // audit reports the candidates below `min_g_sim` too, so it
+            // keeps every candidate; otherwise selection would only skip
+            // them, and they are never materialised
+            let audit = obs.decisions_enabled() || obs.truth_enabled();
+            let (candidates, non_empty) = {
                 let _subgraph = obs.span("subgraph");
                 let cand_list = self.household_candidates(&pm);
-                self.score_candidates(&cand_list, &pm, config, par, delta, iter_idx, obs)
+                self.score_candidates(&cand_list, &pm, config, par, delta, audit, iter_idx, obs)
             };
 
             let _selection = obs.span("selection");
             let records_before = records.len();
             let groups_before = groups.len();
-            // truth telemetry reuses the audit plumbing: rejections are
-            // recorded either way, and `select_and_extract` is
-            // audit-neutral, so the mappings stay bit-identical
-            let audit = obs.decisions_enabled() || obs.truth_enabled();
             let outcome = select_and_extract(
                 &candidates,
                 &pm,
@@ -553,7 +620,7 @@ impl<'a> Linker<'a> {
             iterations.push(IterationStats {
                 delta,
                 prematch_pairs: pm.match_count(),
-                candidates: candidates.len(),
+                candidates: non_empty,
                 group_links,
                 record_links,
             });

@@ -1,7 +1,7 @@
 //! Greedy selection of group links (Algorithm 2) and record-link
 //! extraction from the accepted subgraphs.
 
-use crate::group_sim::{score_subgraph, GroupScore, SelectionWeights};
+use crate::group_sim::GroupScore;
 use crate::prematch::PreMatch;
 use census_model::{GroupMapping, HouseholdId, RecordId, RecordMapping};
 use hhgraph::MatchedSubgraph;
@@ -27,30 +27,6 @@ pub struct ScoredSubgroup {
 }
 
 impl ScoredSubgroup {
-    /// Score a subgraph candidate whose vertices sit at `positions` of
-    /// `pre`.
-    #[must_use]
-    pub fn new(
-        old: HouseholdId,
-        new: HouseholdId,
-        sub: MatchedSubgraph,
-        positions: Box<[(u32, u32)]>,
-        pre: &PreMatch,
-        weights: SelectionWeights,
-        fallback_sim: f64,
-    ) -> Self {
-        let score = score_subgraph(&sub, &positions, pre, fallback_sim);
-        let g_sim = weights.g_sim(&score);
-        Self {
-            old,
-            new,
-            sub,
-            positions,
-            score,
-            g_sim,
-        }
-    }
-
     /// The positions of vertex `(o, n)`.
     ///
     /// # Panics
@@ -107,6 +83,14 @@ pub struct SelectionOutcome {
     pub rejections: Vec<(usize, RejectReason)>,
 }
 
+/// Algorithm 2's acceptance floor: whether a candidate scoring `g_sim`
+/// is skipped as [`RejectReason::BelowMinGSim`]. The linker applies the
+/// same test before materialising a candidate, so a candidate it drops
+/// is exactly one selection would skip.
+pub(crate) fn below_min_g_sim(g_sim: f64, min_g_sim: f64) -> bool {
+    g_sim < min_g_sim
+}
+
 /// Core of Algorithm 2: greedy acceptance in descending `g_sim` order
 /// under record-disjointness. Claimed records map to the index of the
 /// winner that claimed them so conflicts can be attributed; rejection
@@ -144,7 +128,7 @@ fn run_selection(
             }
             continue;
         }
-        if cand.g_sim < min_g_sim {
+        if below_min_g_sim(cand.g_sim, min_g_sim) {
             if audit {
                 rejections.push((idx, RejectReason::BelowMinGSim));
             }
@@ -164,8 +148,9 @@ fn run_selection(
         });
         if let Some(winner) = old_blocker.or(new_blocker) {
             if audit {
-                let tie = (candidates[winner].g_sim - cand.g_sim).abs() <= f64::EPSILON;
-                let reason = if tie {
+                // the acceptance order compares g_sim exactly, so only
+                // an exactly equal winner won on the household tie-break
+                let reason = if candidates[winner].g_sim == cand.g_sim {
                     RejectReason::TieBreak { winner }
                 } else {
                     RejectReason::LowerGSim { winner }
@@ -486,6 +471,27 @@ mod tests {
         assert_eq!(
             out.rejections,
             vec![(0, RejectReason::TieBreak { winner: 1 })]
+        );
+    }
+
+    #[test]
+    fn audit_marks_one_ulp_conflicts_as_lower_g_sim() {
+        // a loser one ulp below its winner lost on g_sim, not on the
+        // household tie-break (which would have preferred it)
+        let g = 0.5f64;
+        let below = f64::from_bits(g.to_bits() - 1);
+        let cands = vec![
+            scored(1, 1, vec![(5, 15)], g),
+            scored(1, 0, vec![(5, 16)], below),
+        ];
+        let pre = PreMatch::default();
+        let mut groups = GroupMapping::new();
+        let mut records = RecordMapping::new();
+        let out = select_and_extract(&cands, &pre, 0.5, 0.0, true, &mut groups, &mut records);
+        assert_eq!(out.accepted, vec![0]);
+        assert_eq!(
+            out.rejections,
+            vec![(1, RejectReason::LowerGSim { winner: 0 })]
         );
     }
 }

@@ -219,8 +219,9 @@ fn timeline_records_worker_events_without_changing_the_result() {
 
 #[test]
 fn footprints_cover_the_index_space_structures() {
-    // the pair-score cache, each iteration's pre-matching and the
-    // scoring workers' tile scratch are snapshotted, per-iteration
+    // the pair-score cache, each iteration's pre-matching, the scoring
+    // workers' tile scratch, the subgraph workers' scratch and the
+    // materialised candidate list are snapshotted, per-iteration
     // structures once per δ step, and the trace stays valid
     let series = pair();
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
@@ -246,6 +247,8 @@ fn footprints_cover_the_index_space_structures() {
             "tile_scratch",
             "graph_positions",
             "residue",
+            "subgraph_scratch",
+            "group_candidates",
         ] {
             assert!(
                 !snapshots(name).is_empty(),
@@ -267,6 +270,16 @@ fn footprints_cover_the_index_space_structures() {
                 "prematch bytes {}",
                 snap.bytes
             );
+        }
+        let candidates = snapshots("group_candidates");
+        assert_eq!(
+            candidates.len(),
+            result.iterations.len(),
+            "one group_candidates snapshot a δ step"
+        );
+        for (snap, stats) in candidates.iter().zip(&result.iterations) {
+            // only the candidates that reach min_g_sim are materialised
+            assert!(snap.elements <= stats.candidates as u64);
         }
         let cache = &snapshots("pair_score_cache")[0];
         assert!(

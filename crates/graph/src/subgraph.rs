@@ -67,13 +67,6 @@ impl MatchedSubgraph {
     pub fn is_empty(&self) -> bool {
         self.vertices.is_empty()
     }
-
-    /// Sum of the relationship-property similarities of the matched edges
-    /// — the numerator of the paper's Eq. 6.
-    #[must_use]
-    pub fn edge_sim_sum(&self) -> f64 {
-        self.edges.iter().map(|e| e.rp_sim).sum()
-    }
 }
 
 /// Compute the common subgraph of two enriched graphs.
@@ -102,6 +95,7 @@ where
     G: Fn(RecordId) -> Option<u64>,
     A: Fn(RecordId, RecordId) -> bool,
 {
+    let mut scratch = SubgraphScratch::default();
     match_subgraph_with(
         old,
         new,
@@ -109,28 +103,69 @@ where
         |j| label_of_new(new.nodes()[j]),
         |i, j| accept(old.nodes()[i], new.nodes()[j]),
         config,
-        &mut SubgraphScratch::default(),
-    )
+        &mut scratch,
+    );
+    scratch.materialize(old, new)
 }
 
-/// Reusable buffers for repeated [`match_subgraph_with`] calls:
-/// households are small, so on a candidate sweep the per-call label and
-/// vertex-index vectors cost more in allocator traffic than the matching
-/// itself.
+/// The working buffers and the result of [`match_subgraph_with`]:
+/// households are small, so on a candidate sweep the per-call label,
+/// vertex and edge vectors cost more in allocator traffic than the
+/// matching itself. The last matched subgraph stays here in node-index
+/// form until the next call; [`SubgraphScratch::materialize`] copies it
+/// out as a [`MatchedSubgraph`] when the caller wants to keep it.
 #[derive(Debug, Default)]
 pub struct SubgraphScratch {
     old_labels: Vec<Option<u64>>,
     new_labels: Vec<Option<u64>>,
     vert_idx: Vec<(usize, usize)>,
+    edges: Vec<SubgraphEdge>,
+    edge_counts: (usize, usize),
 }
 
 impl SubgraphScratch {
     /// Node indices `(old node, new node)` of each vertex of the subgraph
-    /// last matched with this scratch, parallel to its
-    /// [`MatchedSubgraph::vertices`].
+    /// last matched with this scratch.
     #[must_use]
     pub fn vertex_nodes(&self) -> &[(usize, usize)] {
         &self.vert_idx
+    }
+
+    /// Matched edges of the last subgraph, indexing
+    /// [`SubgraphScratch::vertex_nodes`].
+    #[must_use]
+    pub fn edges(&self) -> &[SubgraphEdge] {
+        &self.edges
+    }
+
+    /// `(|E_i|, |E_{i+1}|)`: the enriched edge counts of the two graphs
+    /// last matched.
+    #[must_use]
+    pub fn edge_counts(&self) -> (usize, usize) {
+        self.edge_counts
+    }
+
+    /// Whether the last subgraph is empty (no shared labels).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.vert_idx.is_empty()
+    }
+
+    /// The last subgraph as an owned [`MatchedSubgraph`] over record ids;
+    /// `old` and `new` must be the graphs it was matched from.
+    #[must_use]
+    pub fn materialize(&self, old: &EnrichedGraph, new: &EnrichedGraph) -> MatchedSubgraph {
+        debug_assert_eq!(self.edge_counts, (old.edge_count(), new.edge_count()));
+        MatchedSubgraph {
+            vertices: self
+                .vert_idx
+                .iter()
+                .map(|&(i, j)| (old.nodes()[i], new.nodes()[j]))
+                .collect(),
+            edges: self.edges.clone(),
+            old_edge_count: self.edge_counts.0,
+            new_edge_count: self.edge_counts.1,
+        }
     }
 }
 
@@ -138,16 +173,20 @@ impl obs::MemoryFootprint for SubgraphScratch {
     fn footprint(&self) -> obs::Footprint {
         let bytes = obs::footprint::vec_capacity_bytes(&self.old_labels)
             + obs::footprint::vec_capacity_bytes(&self.new_labels)
-            + obs::footprint::vec_capacity_bytes(&self.vert_idx);
+            + obs::footprint::vec_capacity_bytes(&self.vert_idx)
+            + obs::footprint::vec_capacity_bytes(&self.edges);
         obs::Footprint::new(bytes, self.vert_idx.len() as u64)
     }
 }
 
-/// [`match_subgraph`] over node indices, with caller-provided scratch
-/// buffers: `label_of_old(i)` labels node `i` of `old`, `accept(i, j)`
-/// decides node pair `(i, j)`. Callers that keep per-node state in
-/// their own index space (the linker's pre-matching positions) look it
-/// up by node index directly, with no record-id hashing.
+/// [`match_subgraph`] over node indices, leaving the result in `scratch`
+/// instead of allocating it: `label_of_old(i)` labels node `i` of `old`,
+/// `accept(i, j)` decides node pair `(i, j)`. Callers that keep per-node
+/// state in their own index space (the linker's pre-matching positions)
+/// look it up by node index directly, with no record-id hashing, and can
+/// score the subgraph from [`SubgraphScratch::vertex_nodes`] and
+/// [`SubgraphScratch::edges`] before deciding whether to
+/// [`SubgraphScratch::materialize`] it.
 pub fn match_subgraph_with<F, G, A>(
     old: &EnrichedGraph,
     new: &EnrichedGraph,
@@ -156,8 +195,7 @@ pub fn match_subgraph_with<F, G, A>(
     accept: A,
     config: &SubgraphConfig,
     scratch: &mut SubgraphScratch,
-) -> MatchedSubgraph
-where
+) where
     F: Fn(usize) -> Option<u64>,
     G: Fn(usize) -> Option<u64>,
     A: Fn(usize, usize) -> bool,
@@ -166,7 +204,10 @@ where
         old_labels,
         new_labels,
         vert_idx,
+        edges,
+        edge_counts,
     } = scratch;
+    *edge_counts = (old.edge_count(), new.edge_count());
     old_labels.clear();
     old_labels.extend((0..old.node_count()).map(&label_of_old));
     new_labels.clear();
@@ -184,7 +225,7 @@ where
     }
 
     // edges: both endpoint pairs connected, same rel type, similar age diff
-    let mut edges = Vec::new();
+    edges.clear();
     for (u, &(o1, n1)) in vert_idx.iter().enumerate() {
         for (v, &(o2, n2)) in vert_idx.iter().enumerate().skip(u + 1) {
             if o1 == o2 || n1 == n2 {
@@ -207,16 +248,6 @@ where
                 edges.push(SubgraphEdge { u, v, rp_sim });
             }
         }
-    }
-
-    MatchedSubgraph {
-        vertices: vert_idx
-            .iter()
-            .map(|&(i, j)| (old.nodes()[i], new.nodes()[j]))
-            .collect(),
-        edges,
-        old_edge_count: old.edge_count(),
-        new_edge_count: new.edge_count(),
     }
 }
 
@@ -513,18 +544,45 @@ mod tests {
     }
 
     #[test]
-    fn edge_sim_sum_accumulates() {
+    fn reused_scratch_materializes_the_last_match() {
+        // a scratch carries no state from one match into the next: after
+        // matching the true pair, matching the decoy leaves exactly the
+        // decoy's subgraph, as a fresh match computes it
         let f = fig4();
         let g_old = crate::EnrichedGraph::build(&f.old, HouseholdId(0)).unwrap();
-        let g_new = crate::EnrichedGraph::build(&f.new, HouseholdId(0)).unwrap();
-        let sub = match_subgraph(
+        let g_true = crate::EnrichedGraph::build(&f.new, HouseholdId(0)).unwrap();
+        let g_decoy = crate::EnrichedGraph::build(&f.new, HouseholdId(1)).unwrap();
+        let label = |g: &crate::EnrichedGraph, i: usize| f.labels.get(&g.nodes()[i]).copied();
+        let config = SubgraphConfig::default();
+        let mut scratch = SubgraphScratch::default();
+        for g_new in [&g_true, &g_decoy] {
+            match_subgraph_with(
+                &g_old,
+                g_new,
+                |i| label(&g_old, i),
+                |j| label(g_new, j),
+                |_, _| true,
+                &config,
+                &mut scratch,
+            );
+        }
+        let fresh = match_subgraph(
             &g_old,
-            &g_new,
+            &g_decoy,
             |r| f.labels.get(&r).copied(),
             |r| f.labels.get(&r).copied(),
             |_, _| true,
-            &SubgraphConfig::default(),
+            &config,
         );
-        assert!((sub.edge_sim_sum() - 3.0).abs() < 1e-9);
+        let kept = scratch.materialize(&g_old, &g_decoy);
+        assert_eq!(kept.vertices, fresh.vertices);
+        assert_eq!(kept.edges, fresh.edges);
+        assert_eq!(scratch.edges(), &fresh.edges[..]);
+        assert_eq!(scratch.vertex_nodes().len(), fresh.vertices.len());
+        assert_eq!(
+            scratch.edge_counts(),
+            (fresh.old_edge_count, fresh.new_edge_count)
+        );
+        assert!(!scratch.is_empty());
     }
 }

@@ -282,6 +282,77 @@ fn driver_and_budget_modes_do_not_change_results() {
 }
 
 #[test]
+fn candidate_gate_does_not_change_results() {
+    // a plain run materialises only the candidates that reach min_g_sim;
+    // a run logging decisions keeps every candidate to report the
+    // losers. Dropping a candidate selection would skip must change
+    // nothing: mappings, provenance and the per-iteration candidate
+    // counts (which count every non-empty subgraph) stay equal
+    use obs::{Collector, Counter, DecisionConfig};
+    use temporal_census_linkage::linkage::link_traced;
+    let series = small_series(5);
+    let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
+    for min_g_sim in [0.0, 0.2, 0.6] {
+        for threads in [1, 2] {
+            let mode = format!("min_g_sim {min_g_sim}, {threads} thread(s)");
+            let config = LinkageConfig {
+                min_g_sim,
+                threads,
+                parallel_cutoff: 0,
+                ..LinkageConfig::default()
+            };
+            let gated = link(old, new, &config);
+            let audited = link_traced(
+                old,
+                new,
+                &config,
+                &Collector::enabled().with_decisions(DecisionConfig::default()),
+            );
+            assert!(!gated.records.is_empty(), "{mode}: no links");
+            let rec = |x: &temporal_census_linkage::linkage::LinkageResult| {
+                x.records.iter().collect::<std::collections::BTreeSet<_>>()
+            };
+            let grp = |x: &temporal_census_linkage::linkage::LinkageResult| {
+                x.groups.iter().collect::<std::collections::BTreeSet<_>>()
+            };
+            assert_eq!(rec(&gated), rec(&audited), "records differ at {mode}");
+            assert_eq!(grp(&gated), grp(&audited), "groups differ at {mode}");
+            assert_eq!(
+                gated.provenance, audited.provenance,
+                "provenance differs at {mode}"
+            );
+            assert_eq!(
+                gated.iterations, audited.iterations,
+                "iterations differ at {mode}"
+            );
+
+            // the counter counts the same non-empty subgraphs
+            let obs = Collector::enabled();
+            let traced = link_traced(old, new, &config, &obs);
+            let candidates: usize = traced.iterations.iter().map(|i| i.candidates).sum();
+            assert_eq!(
+                obs.counter(Counter::GroupCandidates),
+                candidates as u64,
+                "group_candidates counter at {mode}"
+            );
+            // and the gate is live: only a zero floor keeps every one
+            let kept: u64 = obs
+                .finish()
+                .footprints
+                .iter()
+                .filter(|f| f.structure == "group_candidates")
+                .map(|f| f.elements)
+                .sum();
+            if min_g_sim == 0.0 {
+                assert_eq!(kept, candidates as u64, "{mode}: candidates dropped");
+            } else {
+                assert!(kept < candidates as u64, "{mode}: nothing dropped");
+            }
+        }
+    }
+}
+
+#[test]
 fn sparse_record_ids_link_like_dense_ones() {
     // record ids are opaque labels: spreading them far apart, so that no
     // dense id-indexed array could hold them, must not change a link
