@@ -316,8 +316,6 @@ fn shard_stats_json(trace: &RunTrace) -> Value {
                     "keys": (s.keys),
                     "pairs": (s.pairs),
                     "matched": (s.matched),
-                    "sim_table_bytes": (s.sim_table_bytes),
-                    "sim_table_cells": (s.sim_table_cells),
                     "duration_us": (s.duration_us)
                 })
             })

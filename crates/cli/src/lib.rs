@@ -909,14 +909,9 @@ pub fn cmd_timeline(file: &Path, min_utilization: Option<f64>) -> Result<String,
     if !tl.stragglers.is_empty() {
         let _ = writeln!(out, "straggler shards (longest first):");
         for s in &tl.stragglers {
-            let table = if s.sim_table_cells == 0 {
-                "direct compute".to_owned()
-            } else {
-                format!("SimTable {} cells", s.sim_table_cells)
-            };
             let _ = writeln!(
                 out,
-                "  shard {:>4}  {:8.1}ms on worker {}  {} pair(s), {} key(s), {table}",
+                "  shard {:>4}  {:8.1}ms on worker {}  {} pair(s), {} key(s)",
                 s.shard,
                 s.duration_us as f64 / 1e3,
                 s.worker,

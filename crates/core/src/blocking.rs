@@ -17,13 +17,29 @@
 //! Keys are packed into a single `u64` per pass — soundex bytes, sex code
 //! and age band occupy disjoint bit ranges under a per-pass tag, so two
 //! records share a packed key exactly when they would have shared the
-//! equivalent formatted string key. That keeps the bucket map free of
-//! per-record `String` allocations, and lets the bucket build and pair
-//! generation run sharded across worker threads with per-shard hash
-//! deduplication.
+//! equivalent formatted string key.
+//!
+//! # One keyed pipeline
+//!
+//! [`block_pairs`] is the one way Standard blocking runs, for every
+//! thread and shard count. The keys are bucketed once (sorted `(key,
+//! position)` lists, joined on the key), a [`ShardPlan`] assigns the
+//! buckets to shards — `shards = 1` is a one-shard plan — and
+//! generation tasks are `(shard, old-position range)` pairs. A task
+//! keeps a pair when it is age-plausible and its *owner* key (see
+//! [`owner_key`]) is the bucket key that proposed it, so every candidate
+//! pair is emitted exactly once, by one task: a task's run only needs
+//! sorting, never deduplication, and a shard's runs, concatenated in
+//! range order, are already sorted. Threads change only how many ranges
+//! a shard is cut into.
 
+use crate::config::{Parallelism, DEFAULT_PARALLEL_CUTOFF};
+use crate::prematch::{age_plausible, ages_plausible};
+use crate::shard::{run_sharded, ShardPlan, ShardedPairs};
 use census_model::{CensusDataset, PersonRecord};
+use obs::Collector;
 use std::collections::HashMap;
+use std::ops::Range;
 use textsim::{fold_diacritic, soundex_code};
 
 /// How candidate pairs are generated.
@@ -39,10 +55,6 @@ pub enum BlockingStrategy {
 
 /// Width (in years) of the age bands of blocking pass 2.
 const AGE_BAND: i64 = 10;
-
-/// Below this many records (both sides combined) the sharded build costs
-/// more than it saves; fall back to the single-threaded path.
-const PARALLEL_BLOCKING_CUTOFF: usize = 4096;
 
 // Pass tags occupy the top two bits of a packed key, so keys of
 // different passes can never collide.
@@ -122,18 +134,13 @@ impl KeyFields {
     }
 }
 
-/// Keys of pass 1 and pass 2 for a record, appended to `out`. `shift` is
-/// added to the age before banding (the census gap for old-side records,
-/// 0 for new-side). Field packing: soundex codes are 4 ASCII bytes
-/// (32 bits), the sex code byte is `m`/`f`/`?`, the first letter is a
-/// `char` (≤ 21 bits) — each pass places them in disjoint bit ranges, so
-/// packed keys are bijective with the formatted keys they replace.
-fn keys(r: &PersonRecord, shift: i64, both_bands: bool, out: &mut Vec<u64>) {
-    append_keys(KeyFields::of(r), shift, both_bands, out);
-}
-
-/// [`keys`] from precomputed [`KeyFields`] — the sharded pair generator
-/// computes fields once per record and emits per-shard from them.
+/// The blocking keys of a record, from its [`KeyFields`], appended to
+/// `out`. `shift` is added to the age before banding (the census gap for
+/// old-side records, 0 for new-side). Field packing: soundex codes are 4
+/// ASCII bytes (32 bits), the sex code byte is `m`/`f`/`?`, the first
+/// letter is a `char` (≤ 21 bits) — each pass places them in disjoint
+/// bit ranges, so packed keys are bijective with the formatted keys they
+/// replace.
 pub(crate) fn append_keys(kf: KeyFields, shift: i64, both_bands: bool, out: &mut Vec<u64>) {
     if let Some(k) = kf.surname_first_key() {
         out.push(k);
@@ -253,146 +260,6 @@ fn unpack_pair(p: u64) -> (u32, u32) {
     ((p >> 32) as u32, p as u32)
 }
 
-fn pairs_serial<F: Fn(u32, u32) -> bool>(
-    old: &[&PersonRecord],
-    new: &[&PersonRecord],
-    year_gap: i64,
-    keep: &F,
-) -> Vec<(u32, u32)> {
-    let mut buckets: HashMap<u64, (Vec<u32>, Vec<u32>)> = HashMap::new();
-    let mut scratch = Vec::with_capacity(6);
-    for (i, r) in old.iter().enumerate() {
-        scratch.clear();
-        keys(r, year_gap, true, &mut scratch);
-        for &k in &scratch {
-            buckets.entry(k).or_default().0.push(i as u32);
-        }
-    }
-    for (j, r) in new.iter().enumerate() {
-        scratch.clear();
-        keys(r, 0, false, &mut scratch);
-        for &k in &scratch {
-            buckets.entry(k).or_default().1.push(j as u32);
-        }
-    }
-    // filter at emission (most duplicates never materialise), then one
-    // sort + dedup — much cheaper than a hash set per generated pair
-    let mut packed: Vec<u64> = Vec::new();
-    for (os, ns) in buckets.values() {
-        for &o in os {
-            for &n in ns {
-                if keep(o, n) {
-                    packed.push(pack_pair(o, n));
-                }
-            }
-        }
-    }
-    packed.sort_unstable();
-    packed.dedup();
-    packed.into_iter().map(unpack_pair).collect()
-}
-
-/// Which shard a key's bucket lives in (Fibonacci multiplicative hash —
-/// the packed keys are structured, so raw modulo would shard unevenly).
-fn shard_of(key: u64, shards: usize) -> usize {
-    ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % shards
-}
-
-/// Emit `(key, record index)` for every record, partitioned by shard.
-fn emit_sharded(
-    records: &[&PersonRecord],
-    shift: i64,
-    both_bands: bool,
-    threads: usize,
-) -> Vec<Vec<(u64, u32)>> {
-    let shards = threads;
-    let chunk = records.len().div_ceil(threads).max(1);
-    let mut merged: Vec<Vec<(u64, u32)>> = (0..shards).map(|_| Vec::new()).collect();
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = records
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, slice)| {
-                scope.spawn(move |_| {
-                    let base = ci * chunk;
-                    let mut out: Vec<Vec<(u64, u32)>> = (0..shards).map(|_| Vec::new()).collect();
-                    let mut scratch = Vec::with_capacity(6);
-                    for (off, r) in slice.iter().enumerate() {
-                        scratch.clear();
-                        keys(r, shift, both_bands, &mut scratch);
-                        for &k in &scratch {
-                            out[shard_of(k, shards)].push((k, (base + off) as u32));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            for (s, v) in h
-                .join()
-                .expect("key emitter panicked")
-                .into_iter()
-                .enumerate()
-            {
-                merged[s].extend(v);
-            }
-        }
-    })
-    .expect("crossbeam scope");
-    merged
-}
-
-fn pairs_sharded<F: Fn(u32, u32) -> bool + Sync>(
-    old: &[&PersonRecord],
-    new: &[&PersonRecord],
-    year_gap: i64,
-    threads: usize,
-    keep: &F,
-) -> Vec<(u32, u32)> {
-    let old_sharded = emit_sharded(old, year_gap, true, threads);
-    let new_sharded = emit_sharded(new, 0, false, threads);
-    let mut packed: Vec<u64> = Vec::new();
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = old_sharded
-            .iter()
-            .zip(new_sharded.iter())
-            .map(|(os, ns)| {
-                scope.spawn(move |_| {
-                    let mut buckets: HashMap<u64, (Vec<u32>, Vec<u32>)> = HashMap::new();
-                    for &(k, i) in os {
-                        buckets.entry(k).or_default().0.push(i);
-                    }
-                    for &(k, j) in ns {
-                        buckets.entry(k).or_default().1.push(j);
-                    }
-                    let mut out: Vec<u64> = Vec::new();
-                    for (o_idx, n_idx) in buckets.values() {
-                        for &o in o_idx {
-                            for &n in n_idx {
-                                if keep(o, n) {
-                                    out.push(pack_pair(o, n));
-                                }
-                            }
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            packed.extend(h.join().expect("pair generator panicked"));
-        }
-    })
-    .expect("crossbeam scope");
-    // duplicates (same pair proposed by several keys, within or across
-    // shards) survive emission; one global sort + dedup removes them and
-    // fixes the output order
-    packed.sort_unstable();
-    packed.dedup();
-    packed.into_iter().map(unpack_pair).collect()
-}
-
 /// Generate candidate `(old index, new index)` pairs over two record
 /// slices. Indices refer to positions in the given slices. The result is
 /// deduplicated and sorted.
@@ -406,9 +273,8 @@ pub fn candidate_pairs(
     candidate_pairs_par(old, new, year_gap, strategy, 1)
 }
 
-/// [`candidate_pairs`] with the bucket build and pair generation sharded
-/// across `threads` worker threads. The result is identical to the
-/// single-threaded path for any thread count.
+/// [`candidate_pairs`] with pair generation cut into at least `threads`
+/// tasks. The result is identical for any thread count.
 #[must_use]
 pub fn candidate_pairs_par(
     old: &[&PersonRecord],
@@ -417,60 +283,199 @@ pub fn candidate_pairs_par(
     strategy: BlockingStrategy,
     threads: usize,
 ) -> Vec<(u32, u32)> {
-    candidate_pairs_inner(old, new, year_gap, strategy, threads, &|_, _| true)
+    let par = Parallelism {
+        threads: threads.max(1),
+        cutoff: DEFAULT_PARALLEL_CUTOFF,
+        shards: 1,
+    };
+    block_pairs(
+        old,
+        new,
+        year_gap,
+        strategy,
+        par,
+        None,
+        &Collector::disabled(),
+    )
+    .into_sorted()
 }
 
-/// [`candidate_pairs_par`] with the pre-matching age-plausibility filter
-/// fused into pair emission: a pair whose ages are implausible under
-/// `max_age_gap` is dropped *before* deduplication, so the dominant share
-/// of generated pairs never reaches the sort. The result equals
-/// `candidate_pairs_par(..)` followed by an `age_plausible` retain —
-/// the filter is per-pair, so it commutes with dedup.
-pub(crate) fn candidate_pairs_filtered(
+/// Block `old × new` into `par.shards` shards: every candidate pair
+/// exactly once, as sorted runs per shard (see the module docs). Pairs
+/// whose ages are implausible under `max_age_gap` are dropped at
+/// emission (`None` keeps every blocked pair). Generation fans out over
+/// `par.threads` workers unless `par.is_serial` holds for the pairs the
+/// buckets propose. `Full` is one shard holding the cross product as a
+/// single run.
+pub(crate) fn block_pairs(
     old: &[&PersonRecord],
     new: &[&PersonRecord],
     year_gap: i64,
     strategy: BlockingStrategy,
-    threads: usize,
+    par: Parallelism,
     max_age_gap: Option<u32>,
-) -> Vec<(u32, u32)> {
-    match max_age_gap {
-        None => candidate_pairs_par(old, new, year_gap, strategy, threads),
-        Some(tol) => candidate_pairs_inner(old, new, year_gap, strategy, threads, &|o, n| {
-            crate::prematch::age_plausible(old[o as usize], new[n as usize], year_gap, tol)
-        }),
+    obs: &Collector,
+) -> ShardedPairs {
+    if strategy == BlockingStrategy::Full {
+        let mut run = Vec::with_capacity(full_prealloc_capacity(old.len(), new.len()));
+        for (i, &o) in old.iter().enumerate() {
+            for (j, &n) in new.iter().enumerate() {
+                if max_age_gap.is_none_or(|tol| age_plausible(o, n, year_gap, tol)) {
+                    run.push((i as u32, j as u32));
+                }
+            }
+        }
+        return ShardedPairs::new(
+            vec![vec![run]],
+            vec![0],
+            vec![(old.len() * new.len()) as u64],
+        );
     }
-}
-
-fn candidate_pairs_inner<F: Fn(u32, u32) -> bool + Sync>(
-    old: &[&PersonRecord],
-    new: &[&PersonRecord],
-    year_gap: i64,
-    strategy: BlockingStrategy,
-    threads: usize,
-    keep: &F,
-) -> Vec<(u32, u32)> {
-    match strategy {
-        BlockingStrategy::Full => {
-            let mut out = Vec::with_capacity(full_prealloc_capacity(old.len(), new.len()));
-            for i in 0..old.len() {
-                for j in 0..new.len() {
-                    if keep(i as u32, j as u32) {
-                        out.push((i as u32, j as u32));
+    let old_kf: Vec<KeyFields> = old.iter().map(|r| KeyFields::of(r)).collect();
+    let new_kf: Vec<KeyFields> = new.iter().map(|r| KeyFields::of(r)).collect();
+    let old_entries = key_entries(&old_kf, year_gap, true);
+    let new_entries = key_entries(&new_kf, 0, false);
+    let buckets = join_buckets(&old_entries, &new_entries);
+    let weights: Vec<(u64, u64)> = buckets
+        .iter()
+        .map(|b| (b.key, (b.old.len() * b.new.len()) as u64))
+        .collect();
+    let plan = ShardPlan::build(&weights, par.shards);
+    debug_assert!(plan.loads().iter().all(|&l| l <= plan.balance_bound()));
+    if obs.truth_enabled() && obs.truth_shard_map().is_none() {
+        record_truth_shards(old, new, &old_kf, &new_kf, year_gap, &plan, obs);
+    }
+    let mut shard_buckets: Vec<Vec<&Bucket>> = vec![Vec::new(); plan.shards()];
+    for b in &buckets {
+        let s = plan.shard_of(b.key).expect("every bucket key is planned");
+        shard_buckets[s].push(b);
+    }
+    let threads = if par.is_serial(plan.total_weight() as usize) {
+        1
+    } else {
+        par.threads.max(1)
+    };
+    let ranges = threads.div_ceil(plan.shards());
+    let bound = |r: usize| (old.len() * r / ranges) as u32;
+    let generate = |task: usize, _worker: usize| -> Vec<(u32, u32)> {
+        let (s, r) = (task / ranges, task % ranges);
+        let (lo, hi) = (bound(r), bound(r + 1));
+        let mut packed: Vec<u64> = Vec::new();
+        for b in &shard_buckets[s] {
+            let olds = &old_entries[b.old.clone()];
+            let olds =
+                &olds[olds.partition_point(|e| e.1 < lo)..olds.partition_point(|e| e.1 < hi)];
+            for &(key, o) in olds {
+                let okf = old_kf[o as usize];
+                for &(_, n) in &new_entries[b.new.clone()] {
+                    let nkf = new_kf[n as usize];
+                    if max_age_gap.is_none_or(|tol| ages_plausible(okf.age, nkf.age, year_gap, tol))
+                        && owner_key(okf, nkf, year_gap) == Some(key)
+                    {
+                        packed.push(pack_pair(o, n));
                     }
                 }
             }
-            out
         }
-        BlockingStrategy::Standard => {
-            let threads = threads.max(1);
-            if threads == 1 || old.len() + new.len() < PARALLEL_BLOCKING_CUTOFF {
-                pairs_serial(old, new, year_gap, keep)
-            } else {
-                pairs_sharded(old, new, year_gap, threads, keep)
+        // strict ownership emits each pair once: sorting is all a run needs
+        packed.sort_unstable();
+        packed.into_iter().map(unpack_pair).collect()
+    };
+    let mut runs = run_sharded(plan.shards() * ranges, threads, obs, generate).into_iter();
+    let per_shard = (0..plan.shards())
+        .map(|_| runs.by_ref().take(ranges).collect())
+        .collect();
+    ShardedPairs::new(
+        per_shard,
+        shard_buckets.iter().map(Vec::len).collect(),
+        plan.loads().to_vec(),
+    )
+}
+
+/// One blocking key both sides emit: its ranges in the two sorted entry
+/// lists of [`key_entries`].
+struct Bucket {
+    key: u64,
+    old: Range<usize>,
+    new: Range<usize>,
+}
+
+/// Every `(key, position)` a side emits, sorted — so each key's
+/// positions form one ascending run. A record never emits one key twice
+/// except when an absurd age clamps two bands together; the dedup keeps
+/// such a record from proposing its pairs twice.
+fn key_entries(kfs: &[KeyFields], shift: i64, both_bands: bool) -> Vec<(u64, u32)> {
+    let mut entries = Vec::with_capacity(kfs.len() * 5);
+    let mut keys = Vec::with_capacity(5);
+    for (i, &kf) in kfs.iter().enumerate() {
+        keys.clear();
+        append_keys(kf, shift, both_bands, &mut keys);
+        entries.extend(keys.iter().map(|&k| (k, i as u32)));
+    }
+    entries.sort_unstable();
+    entries.dedup();
+    entries
+}
+
+/// The keys both sides emit, ascending, with their entry ranges.
+fn join_buckets(old: &[(u64, u32)], new: &[(u64, u32)]) -> Vec<Bucket> {
+    let run_end = |e: &[(u64, u32)], i: usize| i + e[i..].partition_point(|x| x.0 == e[i].0);
+    let mut buckets = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() && j < new.len() {
+        match old[i].0.cmp(&new[j].0) {
+            std::cmp::Ordering::Less => i = run_end(old, i),
+            std::cmp::Ordering::Greater => j = run_end(new, j),
+            std::cmp::Ordering::Equal => {
+                let (ie, je) = (run_end(old, i), run_end(new, j));
+                buckets.push(Bucket {
+                    key: old[i].0,
+                    old: i..ie,
+                    new: j..je,
+                });
+                (i, j) = (ie, je);
             }
         }
     }
+    buckets
+}
+
+/// Truth telemetry: attribute each true record pair to the shard that
+/// owns its blocking key. The collector keeps the first map of the run
+/// (the δ-schedule's full-population blocking); later residues are
+/// skipped by the caller.
+fn record_truth_shards(
+    old: &[&PersonRecord],
+    new: &[&PersonRecord],
+    old_kf: &[KeyFields],
+    new_kf: &[KeyFields],
+    year_gap: i64,
+    plan: &ShardPlan,
+    obs: &Collector,
+) {
+    let Some(tc) = obs.truth_config() else {
+        return;
+    };
+    let old_at: HashMap<u64, usize> = old
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (r.id.raw(), i))
+        .collect();
+    let new_at: HashMap<u64, usize> = new
+        .iter()
+        .enumerate()
+        .map(|(j, r)| (r.id.raw(), j))
+        .collect();
+    let mut map = Vec::new();
+    for &(o, n) in &tc.record_pairs {
+        let (Some(&i), Some(&j)) = (old_at.get(&o), new_at.get(&n)) else {
+            continue;
+        };
+        if let Some(s) = owner_key(old_kf[i], new_kf[j], year_gap).and_then(|k| plan.shard_of(k)) {
+            map.push((o, n, s));
+        }
+    }
+    obs.truth_shard_map_set(map);
 }
 
 /// Convenience: candidate pairs over whole datasets, with the year gap
@@ -604,41 +609,80 @@ mod tests {
         assert_eq!(pairs, vec![(0, 0)]);
     }
 
+    fn small_pair() -> census_synth::CensusSeries {
+        census_synth::generate_series(&census_synth::SimConfig::small())
+    }
+
     #[test]
-    fn parallel_build_matches_serial() {
-        use census_synth::{generate_series, SimConfig};
-        let series = generate_series(&SimConfig::small());
+    fn thread_and_shard_counts_only_cut_the_tasks() {
+        let series = small_pair();
         let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
         let o: Vec<&PersonRecord> = old.records().iter().collect();
         let n: Vec<&PersonRecord> = new.records().iter().collect();
         let gap = i64::from(new.year - old.year);
-        let keep_all = |_: u32, _: u32| true;
-        let serial = pairs_serial(&o, &n, gap, &keep_all);
+        let reference = candidate_pairs(&o, &n, gap, BlockingStrategy::Standard);
+        assert!(
+            reference.windows(2).all(|w| w[0] < w[1]),
+            "not strictly ascending"
+        );
         for threads in [2, 3, 8] {
-            let sharded = pairs_sharded(&o, &n, gap, threads, &keep_all);
-            assert_eq!(
-                serial, sharded,
-                "sharded build diverged at {threads} threads"
-            );
+            for shards in [1, 2, 7, 10_000] {
+                let par = Parallelism {
+                    threads,
+                    cutoff: 0,
+                    shards,
+                };
+                let blocked = block_pairs(
+                    &o,
+                    &n,
+                    gap,
+                    BlockingStrategy::Standard,
+                    par,
+                    None,
+                    &Collector::disabled(),
+                );
+                assert_eq!(blocked.per_shard.len(), shards);
+                // a shard's runs, concatenated in range order, are sorted
+                for runs in &blocked.per_shard {
+                    let flat: Vec<_> = runs.iter().flatten().collect();
+                    assert!(
+                        flat.windows(2).all(|w| w[0] < w[1]),
+                        "{threads} threads, {shards} shards"
+                    );
+                }
+                assert_eq!(blocked.total, reference.len());
+                assert_eq!(
+                    blocked.into_sorted(),
+                    reference,
+                    "{threads} threads, {shards} shards"
+                );
+            }
         }
     }
 
     #[test]
     fn fused_age_filter_equals_retain_after_the_fact() {
-        use census_synth::{generate_series, SimConfig};
-        let series = generate_series(&SimConfig::small());
+        let series = small_pair();
         let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
         let o: Vec<&PersonRecord> = old.records().iter().collect();
         let n: Vec<&PersonRecord> = new.records().iter().collect();
         let gap = i64::from(new.year - old.year);
         for strategy in [BlockingStrategy::Standard, BlockingStrategy::Full] {
-            for threads in [1, 4] {
+            for (threads, shards) in [(1, 1), (4, 1), (2, 7)] {
                 let mut unfused = candidate_pairs_par(&o, &n, gap, strategy, threads);
-                unfused.retain(|&(i, j)| {
-                    crate::prematch::age_plausible(o[i as usize], n[j as usize], gap, 3)
-                });
-                let fused = candidate_pairs_filtered(&o, &n, gap, strategy, threads, Some(3));
-                assert_eq!(unfused, fused, "{strategy:?} at {threads} threads");
+                unfused.retain(|&(i, j)| age_plausible(o[i as usize], n[j as usize], gap, 3));
+                let par = Parallelism {
+                    threads,
+                    cutoff: 0,
+                    shards,
+                };
+                let fused =
+                    block_pairs(&o, &n, gap, strategy, par, Some(3), &Collector::disabled())
+                        .into_sorted();
+                assert_eq!(
+                    unfused, fused,
+                    "{strategy:?} at {threads} threads, {shards} shards"
+                );
                 assert!(!fused.is_empty());
             }
         }
@@ -646,17 +690,16 @@ mod tests {
 
     #[test]
     fn owner_key_agrees_with_emitted_key_collisions() {
-        // exhaustive cross-check on a synthetic snapshot pair: a pair is
-        // a blocking candidate iff `owner_key` is Some, and the owner is
-        // always a key both sides actually emitted
-        use census_synth::{generate_series, SimConfig};
-        use std::collections::HashSet;
-        let series = generate_series(&SimConfig::small());
+        // exhaustive cross-check on a synthetic snapshot pair against an
+        // independent oracle: a pair is a blocking candidate iff the key
+        // sets the two sides emit intersect — and exactly then `owner_key`
+        // is Some, naming a key both sides emitted
+        let series = small_pair();
         let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
         let o: Vec<&PersonRecord> = old.records().iter().collect();
         let n: Vec<&PersonRecord> = new.records().iter().collect();
         let gap = i64::from(new.year - old.year);
-        let candidates: HashSet<(u32, u32)> =
+        let candidates: std::collections::HashSet<(u32, u32)> =
             candidate_pairs(&o, &n, gap, BlockingStrategy::Standard)
                 .into_iter()
                 .collect();
@@ -670,12 +713,17 @@ mod tests {
             for (j, &nkf) in new_kf.iter().enumerate() {
                 kn.clear();
                 append_keys(nkf, 0, false, &mut kn);
-                let owner = owner_key(okf, nkf, gap);
+                let collide = ko.iter().any(|k| kn.contains(k));
                 let is_candidate = candidates.contains(&(i as u32, j as u32));
                 assert_eq!(
+                    collide, is_candidate,
+                    "key sets and candidates disagree at ({i},{j})"
+                );
+                let owner = owner_key(okf, nkf, gap);
+                assert_eq!(
                     owner.is_some(),
-                    is_candidate,
-                    "owner/candidate disagree at ({i},{j}): owner={owner:?}"
+                    collide,
+                    "owner/collision disagree at ({i},{j}): owner={owner:?}"
                 );
                 if let Some(k) = owner {
                     assert!(

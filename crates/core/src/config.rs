@@ -48,8 +48,8 @@ pub struct Parallelism {
     /// Minimum number of work items before threads are spawned. With
     /// fewer items the loop runs sequentially regardless of `threads`.
     pub cutoff: usize,
-    /// Blocking-key shards for pair generation and scoring (≥ 1; 1 keeps
-    /// the unsharded engine). Results are identical for any value — see
+    /// Blocking-key shards for pair generation and scoring (≥ 1; 1 is a
+    /// one-shard plan). Results are identical for any value — see
     /// `crate::shard`.
     pub shards: usize,
 }
@@ -116,8 +116,7 @@ pub struct LinkageConfig {
     pub parallel_cutoff: usize,
     /// Soft memory budget in bytes for the pipeline's caches (CLI
     /// `--mem-budget`). When set, a [`crate::MemGovernor`] degrades the
-    /// similarity tables, the cross-iteration pair-score cache and the
-    /// decision log to fit — every degradation falls back to
+    /// cross-iteration pair-score cache and the decision log to fit — every degradation falls back to
     /// recomputation, so linkage output is bit-identical under any
     /// budget. The pair-score cache is scored once at `δ_low` and
     /// filtered per δ step; a residue whose cache the budget refuses is
@@ -126,13 +125,14 @@ pub struct LinkageConfig {
     /// cap.
     pub memory_budget: Option<u64>,
     /// Blocking-key shards for pair generation and scoring (CLI
-    /// `--shards`): the candidate space is partitioned by blocking key
-    /// into this many independently-scored shards, each with its own
-    /// similarity tables. `0` picks a scale-aware count automatically
-    /// (see [`LinkageConfig::resolved_shards`]); `1` (the default) keeps
-    /// the unsharded engine. Linkage output is bit-identical for every
-    /// value. Only `BlockingStrategy::Standard` has blocking keys to
-    /// shard by; `Full` ignores this knob.
+    /// `--shards`): the blocking plan partitions the candidate space by
+    /// key into this many shards, which only changes how generation and
+    /// scoring are cut into tasks — every plan runs the same code
+    /// against one set of interned values. `0` picks a scale-aware
+    /// count automatically (see [`LinkageConfig::resolved_shards`]); `1`
+    /// (the default) is a one-shard plan. Linkage output is
+    /// bit-identical for every value. Only `BlockingStrategy::Standard`
+    /// has blocking keys to shard by; `Full` is always one shard.
     pub shards: usize,
 }
 
@@ -199,10 +199,9 @@ impl LinkageConfig {
     }
 
     /// Resolve [`LinkageConfig::shards`] against the run's input size:
-    /// `0` becomes a scale-aware automatic count — enough shards that
-    /// each one's value universe stays small (so per-shard similarity
-    /// tables fit their locality cap), never fewer than the thread count,
-    /// capped at 64.
+    /// `0` becomes a scale-aware automatic count — one shard per 4096
+    /// records, never fewer than the thread count, capped at 64. The
+    /// count only cuts tasks: shards hold no per-shard scoring state.
     #[must_use]
     pub fn resolved_shards(&self, total_records: usize) -> usize {
         if self.shards != 0 {

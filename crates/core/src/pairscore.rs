@@ -37,11 +37,11 @@
 //! filter-only iterations add no histogram samples, only
 //! `pair_cache_hits`/`pair_cache_filtered` counters.
 
-use crate::blocking::BlockingStrategy;
+use crate::blocking::{block_pairs, BlockingStrategy};
 use crate::config::Parallelism;
 use crate::csr::MatchCsr;
 use crate::mem::MemGovernor;
-use crate::prematch::{age_plausible, Blocked};
+use crate::prematch::{age_plausible, score_pairs};
 use crate::simfunc::{AttributeSpec, CompiledProfile, SimFunc};
 use census_model::{PersonRecord, RecordId};
 use obs::{Collector, Counter, Footprint, MemoryFootprint};
@@ -251,10 +251,14 @@ impl PairScoreCache {
                 old_pos.iter().map(|&p| residue.old[p as usize]).collect();
             let new: Vec<&PersonRecord> =
                 new_pos.iter().map(|&q| residue.new[q as usize]).collect();
-            // the budget gate sees the deduplicated pair count before any
-            // scoring starts; the blocked pairs are dropped once scored
-            let blocked = Blocked::generate(&old, &new, year_gap, strategy, par, max_age_gap, obs);
-            let n_pairs = blocked.len();
+            // the budget gate sees the candidate pair count before any
+            // scoring starts; the blocked pairs are dropped once scored.
+            // Blocking is named by a child span of the enclosing phase
+            let blocked = {
+                let _blocking = obs.span("blocking");
+                block_pairs(&old, &new, year_gap, strategy, par, max_age_gap, obs)
+            };
+            let n_pairs = blocked.total;
             obs.add(Counter::BlockingPairsGenerated, n_pairs as u64);
             let threshold = if fallback == Some(sim.threshold) || mem.allow_pair_cache(n_pairs) {
                 sim.threshold
@@ -271,7 +275,7 @@ impl PairScoreCache {
                 fallback?
             };
             let sim = sim.with_threshold(threshold);
-            let matches = blocked.score(old_profiles, new_profiles, &sim, par, mem, obs);
+            let matches = score_pairs(&blocked, old_profiles, new_profiles, &sim, par, obs);
             (threshold, n_pairs as u64, matches)
         };
         Some(Self {

@@ -4,27 +4,34 @@
 //! Candidate pairs from the blocking layer are scored with the weighted
 //! attribute similarity (Eq. 3); pairs at or above δ become match pairs;
 //! the connected components of the match pairs become clusters, and every
-//! record is assigned its cluster label. Scoring is parallelised across
-//! the shard pool's worker threads (`crate::shard::run_sharded`).
+//! record is assigned its cluster label.
+//!
+//! Scoring is one function for every plan, [`score_pairs`]: the values
+//! of both sides are interned once into global [`ValueIds`] and
+//! [`MultisetArena`]s, the blocking plan's sorted runs are cut into
+//! chunks of at most ⌈pairs/threads⌉ pairs, and the chunks run on the
+//! shard pool (`crate::shard::run_sharded`) through one tile kernel.
+//! The thread count, shard count and cutoff change only how the chunks
+//! are cut, never which code scores them.
 
-use crate::blocking::{candidate_pairs_filtered, BlockingStrategy};
+use crate::blocking::BlockingStrategy;
 use crate::cluster::UnionFind;
 use crate::config::Parallelism;
 use crate::csr::MatchCsr;
 use crate::mem::MemGovernor;
 use crate::pairscore::{PairScoreCache, Residue};
-use crate::shard::{run_sharded, sharded_candidate_pairs, sharded_scores, ShardedPairs};
+use crate::shard::{run_sharded, ShardedPairs};
 use crate::simfunc::{CompiledProfile, SimFunc};
 use census_model::PersonRecord;
-use obs::{Collector, Counter, EventKind, Footprint, MemoryFootprint};
+use obs::{Collector, Counter, EventKind, Footprint, MemoryFootprint, ShardStat};
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use textsim::{CompiledValue, MultisetArena};
 
 /// Dense per-attribute value ids over both record sides: profiles with
 /// equal raw values (hence equal compiled representations) share an id,
-/// so `(old id, new id)` keys a memo of `CompiledValue::similarity`.
-/// Laid out `ids[record * n_specs + spec]`.
+/// so `(old id, new id)` names one `CompiledValue::similarity` work
+/// item. Laid out `ids[record * n_specs + spec]`.
 struct ValueIds<'p> {
     n_specs: usize,
     /// Id-space size per spec (unique values across both sides).
@@ -92,81 +99,6 @@ fn arena_footprint(arenas: &[MultisetArena]) -> Footprint {
     })
 }
 
-/// Lazily-filled dense memo of one attribute's similarities over its
-/// interned value ids. A bitset marks filled cells (0.0 is a legitimate
-/// similarity, so the score itself cannot be the sentinel); both vecs
-/// are zero-initialised, which the allocator serves from untouched
-/// pages, so unprobed regions cost nothing.
-struct SimTable {
-    n: usize,
-    filled: Vec<u64>,
-    sims: Vec<f64>,
-}
-
-impl SimTable {
-    /// Cells above this cap fall back to direct scoring. Beyond bounding
-    /// memory, the cap is a locality heuristic: a near-unique attribute
-    /// (many distinct values, e.g. addresses) yields a table too large to
-    /// stay cached and a hit rate too low to amortise the misses — there,
-    /// recomputing the merge outright is cheaper than probing.
-    const MAX_CELLS: usize = 1 << 21;
-
-    /// A table for `unique_values` interned ids, or `None` when its
-    /// `unique_values²` cells exceed `max_cells` (the locality cap,
-    /// possibly lowered by a memory budget) — the caller then computes
-    /// similarities directly, which is score-identical.
-    fn new(unique_values: usize, max_cells: usize) -> Option<Self> {
-        let cells = unique_values.checked_mul(unique_values)?;
-        if cells > max_cells {
-            return None;
-        }
-        Some(Self {
-            n: unique_values,
-            filled: vec![0; cells.div_ceil(64)],
-            sims: vec![0.0; cells],
-        })
-    }
-
-    /// One table per spec over `uniques[spec]` interned ids, capped at
-    /// `max_cells` (the memory budget's per-table share) and at the
-    /// locality cap. Also returns how many tables the budget refused
-    /// that the locality cap alone would have admitted — the
-    /// budget-driven fallbacks [`note_budget_rejected`] reports.
-    fn per_spec(uniques: &[usize], max_cells: usize) -> (Vec<Option<Self>>, u64) {
-        let capped = max_cells.min(Self::MAX_CELLS);
-        let tables: Vec<Option<Self>> = uniques.iter().map(|&u| Self::new(u, capped)).collect();
-        let budget_rejected = tables
-            .iter()
-            .zip(uniques)
-            .filter(|&(t, &u)| {
-                t.is_none() && u.checked_mul(u).is_some_and(|c| c <= Self::MAX_CELLS)
-            })
-            .count() as u64;
-        (tables, budget_rejected)
-    }
-
-    /// Heap bytes and total cells of a set of tables.
-    fn footprint(tables: &[Option<Self>]) -> Footprint {
-        tables.iter().flatten().fold(Footprint::ZERO, |acc, t| {
-            let bytes = (t.sims.capacity() * 8 + t.filled.capacity() * 8) as u64;
-            acc.plus(Footprint::new(bytes, (t.n * t.n) as u64))
-        })
-    }
-
-    #[inline]
-    fn get_or_insert_with(&mut self, a: u32, b: u32, sim: impl FnOnce() -> f64) -> f64 {
-        let idx = a as usize * self.n + b as usize;
-        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
-        if self.filled[word] & bit != 0 {
-            return self.sims[idx];
-        }
-        let v = sim();
-        self.filled[word] |= bit;
-        self.sims[idx] = v;
-        v
-    }
-}
-
 /// Pairs per batch-kernel tile. The tile scratch ([`TileScratch`], some
 /// 65 bytes a pair with the default specs) scales with this constant,
 /// once per scoring worker, so it sets the kernel's transient memory:
@@ -182,9 +114,6 @@ const BATCH_TILE_PAIRS: usize = 1 << 16;
 /// count for the similarity stash), whatever the candidate count.
 #[derive(Default)]
 struct TileScratch {
-    /// Id-matrix rows of the tile's pairs — filled only for shard-local
-    /// ids; global scoring reads the pairs themselves as rows.
-    rows: Vec<(u32, u32)>,
     /// The selection vector: tile slots still above the early-exit bound.
     alive: Vec<u32>,
     /// Running weighted sums, aligned with `alive`.
@@ -202,8 +131,7 @@ struct TileScratch {
 impl MemoryFootprint for TileScratch {
     fn footprint(&self) -> Footprint {
         use obs::footprint::vec_capacity_bytes as cap;
-        let bytes = cap(&self.rows)
-            + cap(&self.alive)
+        let bytes = cap(&self.alive)
             + cap(&self.partials)
             + cap(&self.lane)
             + cap(&self.sims)
@@ -214,24 +142,9 @@ impl MemoryFootprint for TileScratch {
     }
 }
 
-/// Report similarity tables the memory budget refused (see
-/// [`SimTable::per_spec`]) as a counter and a trace event.
-pub(crate) fn note_budget_rejected(obs: &Collector, rejected: u64, max_cells: usize) {
-    if rejected > 0 {
-        obs.add(Counter::MemFallbackSimTable, rejected);
-        obs.event(
-            "mem_fallback_sim_table",
-            format!(
-                "{rejected} sim table(s) over the {max_cells}-cell budget cap; \
-                 scoring those attributes directly"
-            ),
-        );
-    }
-}
-
 /// Telemetry of one batch-scoring pass.
 #[derive(Default)]
-pub(crate) struct BatchStats {
+struct BatchStats {
     /// Work items requested: still-alive pairs summed over the attribute
     /// columns — the same probe set the per-pair early-exit loop
     /// (`SimFunc::matches_compiled_counted`) makes.
@@ -245,14 +158,14 @@ pub(crate) struct BatchStats {
 
 impl BatchStats {
     /// Fold another pass's telemetry into this one.
-    pub(crate) fn merge(&mut self, other: &Self) {
+    fn merge(&mut self, other: &Self) {
         self.probes += other.probes;
         self.unique += other.unique;
         self.prunes += other.prunes;
     }
 
     /// Add the tallies to the collector's counters.
-    pub(crate) fn report(&self, obs: &Collector) {
+    fn report(&self, obs: &Collector) {
         obs.add(Counter::PairScoreBatchProbes, self.probes);
         obs.add(Counter::PairScoreBatchedUnique, self.unique);
         obs.add(Counter::EarlyExitPrunes, self.prunes);
@@ -262,48 +175,31 @@ impl BatchStats {
 /// Scored match pairs: `(old index, new index, agg_sim)`.
 type Matches = Vec<(u32, u32, f64)>;
 
-/// How batch tiles map pair indices onto rows of the id matrix.
-enum RowLookup<'a> {
-    /// Pair indices index the id matrix directly (global scoring).
-    Direct,
-    /// Shard-local ids: pair indices are global record indices; rows are
-    /// their positions in the shard's sorted unique index lists.
-    Sharded {
-        uniq_old: &'a [u32],
-        uniq_new: &'a [u32],
-    },
-}
-
-/// The attribute-at-a-time batch scoring kernel — the pre-matching
-/// scorer on every path (serial, parallel and sharded).
+/// The attribute-at-a-time batch scoring kernel — the one pre-matching
+/// scorer.
 ///
 /// Pairs are processed in tiles. Per tile, attribute columns are
 /// materialised one at a time in descending-weight order: a planning
 /// pass dedups the column of interned value-id pairs to unique work
-/// items — through the spec's [`SimTable`] when one exists (the filled
-/// bit is the cross-tile dedup), otherwise by a tile-local sort. Each
-/// unique item is scored once through the spec's [`MultisetArena`],
-/// streaming the packed gram buffer linearly instead of chasing
-/// `CompiledValue` pointers. After every column the tile's selection
-/// vector is compacted at the *same* early-exit bound the per-pair
-/// loop `SimFunc::matches_compiled_counted` checks
-/// (`SimFunc::bound_fails_after`), so later — lighter-weight — columns
-/// shrink to the survivors and the kernel's probe set is exactly that
-/// loop's. Survivors fold in original spec order
+/// items by a tile-local sort, and each unique item is scored once
+/// through the spec's [`MultisetArena`], streaming the packed gram
+/// buffer linearly instead of chasing `CompiledValue` pointers. After
+/// every column the tile's selection vector is compacted at the *same*
+/// early-exit bound the per-pair loop `SimFunc::matches_compiled_counted`
+/// checks (`SimFunc::bound_fails_after`), so later — lighter-weight —
+/// columns shrink to the survivors and the kernel's probe set is exactly
+/// that loop's. Survivors fold in original spec order
 /// (`SimFunc::fold_survivor`); decisions, scores and prune counts are
 /// bit-identical to the per-pair oracle — only the order the
 /// per-attribute similarities are materialised in changes.
 ///
 /// Returns the matches, sized to their count, and the footprint of the
 /// tile scratch at its largest.
-#[allow(clippy::too_many_arguments)] // the scoring inputs plus the batch plumbing
 fn batch_score_into(
     pairs: &[(u32, u32)],
     sim: &SimFunc,
     ids: &ValueIds,
-    rows: &RowLookup,
     arenas: &[MultisetArena],
-    tables: &mut [Option<SimTable>],
     stats: &mut BatchStats,
 ) -> (Matches, Footprint) {
     let n_specs = ids.n_specs;
@@ -314,7 +210,6 @@ fn batch_score_into(
     let mut out = Vec::with_capacity(pairs.len());
     let mut scratch = TileScratch::default();
     let TileScratch {
-        rows: row_buf,
         alive,
         partials,
         lane,
@@ -324,20 +219,8 @@ fn batch_score_into(
         uniq_sims,
     } = &mut scratch;
     for tile in pairs.chunks(BATCH_TILE_PAIRS) {
-        let tile_rows: &[(u32, u32)] = match rows {
-            RowLookup::Direct => tile,
-            RowLookup::Sharded { uniq_old, uniq_new } => {
-                row_buf.clear();
-                row_buf.extend(tile.iter().map(|&(i, j)| {
-                    let li = uniq_old.binary_search(&i).expect("pair index in uniq_old");
-                    let lj = uniq_new.binary_search(&j).expect("pair index in uniq_new");
-                    (li as u32, lj as u32)
-                }));
-                row_buf
-            }
-        };
         let base = |p: u32| {
-            let (i, j) = tile_rows[p as usize];
+            let (i, j) = tile[p as usize];
             (i as usize * n_specs, j as usize * n_specs)
         };
         alive.clear();
@@ -353,84 +236,61 @@ fn batch_score_into(
             }
             stats.probes += alive.len() as u64;
             lane.clear();
-            match &mut tables[spec] {
-                Some(t) => {
-                    for &p in alive.iter() {
-                        let (bo, bn) = base(p);
-                        let (a, b) = (ids.old[bo + spec], ids.new[bn + spec]);
-                        let mut computed = false;
-                        let v = t.get_or_insert_with(a, b, || {
-                            computed = true;
-                            arenas[spec].similarity(a, b)
-                        });
-                        if computed {
-                            stats.unique += 1;
-                        }
-                        lane.push(v);
+            // dedup within the tile by sorting the column's packed id
+            // pairs, so each distinct item is scored exactly once
+            const SLOT_BITS: u32 = BATCH_TILE_PAIRS.trailing_zeros();
+            let max_id = ids.uniques[spec].saturating_sub(1) as u64;
+            let id_bits = 64 - max_id.leading_zeros();
+            if 2 * id_bits + SLOT_BITS <= 64 {
+                // run-scan scatter: the ids and the lane slot all fit one
+                // u64 (slots are tile-local, < the tile size), so sorting
+                // groups equal (a, b) runs adjacently and each run's
+                // single arena merge scatters straight back to its slots
+                // — no second lookup
+                let mask = (1u64 << id_bits) - 1;
+                let slot_mask = (1u64 << SLOT_BITS) - 1;
+                keys.clear();
+                keys.extend(alive.iter().enumerate().map(|(idx, &p)| {
+                    let (bo, bn) = base(p);
+                    (u64::from(ids.old[bo + spec]) << (id_bits + SLOT_BITS))
+                        | (u64::from(ids.new[bn + spec]) << SLOT_BITS)
+                        | idx as u64
+                }));
+                keys.sort_unstable();
+                lane.resize(alive.len(), 0.0);
+                let mut run = u64::MAX;
+                let mut v = 0.0;
+                for &packed in keys.iter() {
+                    let key = packed >> SLOT_BITS;
+                    if key != run {
+                        run = key;
+                        stats.unique += 1;
+                        v = arenas[spec].similarity((key >> id_bits) as u32, (key & mask) as u32);
                     }
+                    lane[(packed & slot_mask) as usize] = v;
                 }
-                None => {
-                    // no table (locality cap or budget): dedup within the
-                    // tile by sorting the column's packed id pairs, so
-                    // each distinct item is scored exactly once
-                    const SLOT_BITS: u32 = BATCH_TILE_PAIRS.trailing_zeros();
-                    let max_id = ids.uniques[spec].saturating_sub(1) as u64;
-                    let id_bits = 64 - max_id.leading_zeros();
-                    if 2 * id_bits + SLOT_BITS <= 64 {
-                        // run-scan scatter: the ids and the lane slot all
-                        // fit one u64 (slots are tile-local, < the tile
-                        // size), so sorting groups equal (a, b) runs
-                        // adjacently and each run's single arena merge
-                        // scatters straight back to its slots — no second
-                        // lookup
-                        let mask = (1u64 << id_bits) - 1;
-                        let slot_mask = (1u64 << SLOT_BITS) - 1;
-                        keys.clear();
-                        keys.extend(alive.iter().enumerate().map(|(idx, &p)| {
-                            let (bo, bn) = base(p);
-                            (u64::from(ids.old[bo + spec]) << (id_bits + SLOT_BITS))
-                                | (u64::from(ids.new[bn + spec]) << SLOT_BITS)
-                                | idx as u64
-                        }));
-                        keys.sort_unstable();
-                        lane.resize(alive.len(), 0.0);
-                        let mut run = u64::MAX;
-                        let mut v = 0.0;
-                        for &packed in keys.iter() {
-                            let key = packed >> SLOT_BITS;
-                            if key != run {
-                                run = key;
-                                stats.unique += 1;
-                                v = arenas[spec]
-                                    .similarity((key >> id_bits) as u32, (key & mask) as u32);
-                            }
-                            lane[(packed & slot_mask) as usize] = v;
-                        }
-                    } else {
-                        // id spaces too wide to pack a slot alongside:
-                        // dedup into a sorted unique list and gather by
-                        // binary search
-                        keys.clear();
-                        keys.extend(alive.iter().map(|&p| {
-                            let (bo, bn) = base(p);
-                            (u64::from(ids.old[bo + spec]) << 32) | u64::from(ids.new[bn + spec])
-                        }));
-                        uniq.clear();
-                        uniq.extend_from_slice(keys);
-                        uniq.sort_unstable();
-                        uniq.dedup();
-                        stats.unique += uniq.len() as u64;
-                        uniq_sims.clear();
-                        uniq_sims.extend(
-                            uniq.iter().map(|&key| {
-                                arenas[spec].similarity((key >> 32) as u32, key as u32)
-                            }),
-                        );
-                        lane.extend(keys.iter().map(|key| {
-                            uniq_sims[uniq.binary_search(key).expect("key in unique set")]
-                        }));
-                    }
-                }
+            } else {
+                // id spaces too wide to pack a slot alongside: dedup into
+                // a sorted unique list and gather by binary search
+                keys.clear();
+                keys.extend(alive.iter().map(|&p| {
+                    let (bo, bn) = base(p);
+                    (u64::from(ids.old[bo + spec]) << 32) | u64::from(ids.new[bn + spec])
+                }));
+                uniq.clear();
+                uniq.extend_from_slice(keys);
+                uniq.sort_unstable();
+                uniq.dedup();
+                stats.unique += uniq.len() as u64;
+                uniq_sims.clear();
+                uniq_sims.extend(
+                    uniq.iter()
+                        .map(|&key| arenas[spec].similarity((key >> 32) as u32, key as u32)),
+                );
+                lane.extend(
+                    keys.iter()
+                        .map(|key| uniq_sims[uniq.binary_search(key).expect("key in unique set")]),
+                );
             }
             // fold the column into the running bounds and compact the
             // selection vector — the per-pair loop's prune,
@@ -480,7 +340,17 @@ pub(crate) fn age_plausible(
     year_gap: i64,
     tolerance: u32,
 ) -> bool {
-    match (old.age, new.age) {
+    ages_plausible(old.age, new.age, year_gap, tolerance)
+}
+
+/// [`age_plausible`] over the two recorded ages.
+pub(crate) fn ages_plausible(
+    old: Option<u32>,
+    new: Option<u32>,
+    year_gap: i64,
+    tolerance: u32,
+) -> bool {
+    match (old, new) {
         (Some(a), Some(b)) => {
             let expected = i64::from(a) + year_gap;
             (i64::from(b) - expected).unsigned_abs() <= u64::from(tolerance)
@@ -609,189 +479,151 @@ impl MemoryFootprint for PreMatch {
     }
 }
 
-/// Score candidate pairs with the batch kernel; returns `(old_idx,
-/// new_idx, sim)` for pairs at or above the threshold — decision- and
-/// score-identical to the naive `aggregate_profiles` path (see
-/// `SimFunc::matches_compiled`).
+/// One scored chunk of a shard's runs.
+struct ScoredChunk {
+    shard: usize,
+    matched: Matches,
+    stats: BatchStats,
+    scratch: Footprint,
+    elapsed: Duration,
+}
+
+/// Score a blocking plan's candidate pairs with the batch kernel: `(old
+/// idx, new idx, agg_sim)` of the pairs at or above the threshold,
+/// sorted by `(old, new)` — decision- and score-identical to the naive
+/// `aggregate_profiles` path (see `SimFunc::matches_compiled`).
+///
+/// Each shard's runs are cut into chunks of at most ⌈pairs/threads⌉
+/// pairs (one worker when `par.is_serial` holds for the pair count) and
+/// scored on the shard pool against one global set of interned values
+/// and arenas. A shard's chunks come back in run order, so its matches
+/// are sorted already; only a plan of several shards sorts the merged
+/// matches, and only such a plan records [`ShardStat`] rows and
+/// per-shard timeline events.
 pub(crate) fn score_pairs(
-    pairs: &[(u32, u32)],
+    blocked: &ShardedPairs,
     old_profiles: &[&CompiledProfile],
     new_profiles: &[&CompiledProfile],
     sim: &SimFunc,
     par: Parallelism,
-    mem: &MemGovernor,
     obs: &Collector,
-) -> Vec<(u32, u32, f64)> {
-    if pairs.is_empty() {
+) -> Matches {
+    if blocked.total == 0 {
         return Vec::new();
+    }
+    let sharded = blocked.per_shard.len() > 1;
+    if sharded {
+        // first plan of the run wins: this registers the headline
+        // prematch plan the timeline's plan-quality ratio is judged
+        // against
+        obs.timeline_plan(&blocked.plan_loads);
     }
     let ids = ValueIds::build(old_profiles, new_profiles);
     let arenas = ids.arenas();
     if obs.is_enabled() {
         obs.snapshot_footprint("value_arenas", arena_footprint(&arenas));
     }
-    let out = if par.is_serial(pairs.len()) {
-        // attribute values repeat heavily across census records (name
-        // pools, shared household addresses), so the serial path serves
-        // per-attribute similarities from dense lazily-filled tables over
-        // interned value ids — bit-identical to direct scoring because
-        // `CompiledValue::similarity` is deterministic in its inputs
-        let max_cells = mem.sim_table_max_cells(ids.uniques.len());
-        let (mut tables, budget_rejected) = SimTable::per_spec(&ids.uniques, max_cells);
-        note_budget_rejected(obs, budget_rejected, max_cells);
-        if obs.is_enabled() {
-            obs.snapshot_footprint("sim_tables", SimTable::footprint(&tables));
-        }
-        let mut stats = BatchStats::default();
-        let (out, scratch) = batch_score_into(
-            pairs,
-            sim,
-            &ids,
-            &RowLookup::Direct,
-            &arenas,
-            &mut tables,
-            &mut stats,
-        );
-        stats.report(obs);
-        if obs.is_enabled() {
-            obs.snapshot_footprint("tile_scratch", scratch);
-        }
-        out
+    let threads = if par.is_serial(blocked.total) {
+        1
     } else {
-        // parallel: the interned ids and arenas are shared read-only
-        // across the workers. Each worker dedups
-        // tile-locally with no tables — a shared table would serialise
-        // the workers on its lock, and per-worker tables would multiply
-        // the memo's memory by the thread count.
-        let chunk = pairs.len().div_ceil(par.threads.max(1));
-        let chunks: Vec<&[(u32, u32)]> = pairs.chunks(chunk).collect();
-        let parts = run_sharded(chunks.len(), par.threads, obs, |ci, worker| {
-            let t0 = obs.timeline_start();
-            let start = Instant::now();
-            let mut stats = BatchStats::default();
-            let mut tables: Vec<Option<SimTable>> = (0..ids.n_specs).map(|_| None).collect();
-            let scored = batch_score_into(
-                chunks[ci],
-                sim,
-                &ids,
-                &RowLookup::Direct,
-                &arenas,
-                &mut tables,
-                &mut stats,
-            );
-            stats.report(obs);
-            obs.thread_chunk(
-                "prematch",
-                None,
-                ci,
-                worker,
-                chunks[ci].len(),
-                start.elapsed(),
-            );
-            if let Some(t0) = t0 {
-                obs.timeline_task(worker, EventKind::PrematchTile, ci as u64, None, t0);
-            }
-            scored
-        });
-        // the workers' scratch is live at the same time: report the sum
-        if obs.is_enabled() {
-            let scratch = parts
-                .iter()
-                .fold(Footprint::ZERO, |acc, (_, fp)| acc.plus(*fp));
-            obs.snapshot_footprint("tile_scratch", scratch);
-        }
-        // concatenate in chunk order into the first part, grown once to
-        // the exact total
-        let total: usize = parts.iter().map(|(m, _)| m.len()).sum();
-        let mut parts = parts.into_iter().map(|(m, _)| m);
-        let mut out = parts.next().unwrap_or_default();
-        out.reserve_exact(total - out.len());
-        for part in parts {
-            out.extend(part);
-        }
-        out
+        par.threads.max(1)
     };
-    sample_match_scores(&out, obs);
-    out
-}
+    let max_chunk = blocked.total.div_ceil(threads);
+    let chunks: Vec<(usize, &[(u32, u32)])> = blocked
+        .per_shard
+        .iter()
+        .enumerate()
+        .flat_map(|(s, runs)| {
+            runs.iter()
+                .flat_map(move |run| run.chunks(max_chunk).map(move |c| (s, c)))
+        })
+        .collect();
+    let parts = run_sharded(chunks.len(), threads, obs, |ci, worker| {
+        let (shard, pairs) = chunks[ci];
+        let t0 = obs.timeline_start();
+        let start = Instant::now();
+        let mut stats = BatchStats::default();
+        let (matched, scratch) = batch_score_into(pairs, sim, &ids, &arenas, &mut stats);
+        let elapsed = start.elapsed();
+        obs.thread_chunk("prematch", None, ci, worker, pairs.len(), elapsed);
+        if let Some(t0) = t0 {
+            let (kind, detail) = if sharded {
+                (EventKind::Shard, shard)
+            } else {
+                (EventKind::PrematchTile, ci)
+            };
+            obs.timeline_task(worker, kind, detail as u64, None, t0);
+        }
+        ScoredChunk {
+            shard,
+            matched,
+            stats,
+            scratch,
+            elapsed,
+        }
+    });
 
-/// The result of scoring one shard's candidate pairs, with the telemetry
-/// the driver folds into counters and per-shard stats after the merge.
-pub(crate) struct ShardScore {
-    /// `(old_idx, new_idx, agg_sim)` of pairs at or above the threshold,
-    /// in global indices, in the shard's (sorted) pair order.
-    pub matched: Vec<(u32, u32, f64)>,
-    /// Batch-kernel probe, dedup and early-exit prune tallies.
-    pub stats: BatchStats,
-    /// Similarity tables rejected by the memory budget (excluding ones
-    /// the default locality cap would have rejected anyway).
-    pub budget_rejected: u64,
-    /// Heap bytes and cells of this shard's similarity tables.
-    pub tables: Footprint,
-    /// Heap bytes and laid-out values of this shard's multiset arenas.
-    pub arenas: Footprint,
-    /// The batch kernel's tile scratch at its largest.
-    pub scratch: Footprint,
-}
-
-/// Score one shard's candidate pairs with shard-local similarity tables.
-///
-/// This is the sharded engine's core win: the shard's value universe is
-/// restricted to the records its blocking keys cover (one soundex family
-/// of names, one band of ages), so per-attribute tables that blow the
-/// [`SimTable::MAX_CELLS`] locality cap globally fit comfortably per
-/// shard and memoisation survives at scales where the unsharded serial
-/// path degrades to tile-local dedup. Scores are bit-identical to direct
-/// scoring because `CompiledValue::similarity` is deterministic.
-pub(crate) fn score_shard(
-    pairs: &[(u32, u32)],
-    old_profiles: &[&CompiledProfile],
-    new_profiles: &[&CompiledProfile],
-    sim: &SimFunc,
-    max_cells: usize,
-) -> ShardScore {
-    // the shard touches a small subset of each side; intern values over
-    // exactly that subset so table sizes track the shard, not the run
-    let mut uniq_old: Vec<u32> = pairs.iter().map(|&(i, _)| i).collect();
-    uniq_old.sort_unstable();
-    uniq_old.dedup();
-    let mut uniq_new: Vec<u32> = pairs.iter().map(|&(_, j)| j).collect();
-    uniq_new.sort_unstable();
-    uniq_new.dedup();
-    let local_old: Vec<&CompiledProfile> =
-        uniq_old.iter().map(|&i| old_profiles[i as usize]).collect();
-    let local_new: Vec<&CompiledProfile> =
-        uniq_new.iter().map(|&j| new_profiles[j as usize]).collect();
-    let ids = ValueIds::build(&local_old, &local_new);
-    let (mut tables, budget_rejected) = SimTable::per_spec(&ids.uniques, max_cells);
-    let arenas = ids.arenas();
+    // fold the telemetry per shard in chunk order; the driver thread
+    // reports the merge and sort as worker-0 events
+    let merge_t0 = obs.timeline_start();
     let mut stats = BatchStats::default();
-    let (matched, scratch) = batch_score_into(
-        pairs,
-        sim,
-        &ids,
-        &RowLookup::Sharded {
-            uniq_old: &uniq_old,
-            uniq_new: &uniq_new,
-        },
-        &arenas,
-        &mut tables,
-        &mut stats,
-    );
-    ShardScore {
-        matched,
-        stats,
-        budget_rejected,
-        tables: SimTable::footprint(&tables),
-        arenas: arena_footprint(&arenas),
-        scratch,
+    let mut scratch = Footprint::ZERO;
+    let mut per_shard = vec![(0u64, Duration::ZERO); blocked.per_shard.len()];
+    for chunk in &parts {
+        stats.merge(&chunk.stats);
+        if chunk.scratch.bytes > scratch.bytes {
+            scratch = chunk.scratch;
+        }
+        per_shard[chunk.shard].0 += chunk.matched.len() as u64;
+        per_shard[chunk.shard].1 += chunk.elapsed;
     }
+    stats.report(obs);
+    // concatenate in chunk order into the first chunk's matches, grown
+    // once to the exact total, so the chunks are never all copied at once
+    let total: usize = per_shard.iter().map(|&(m, _)| m as usize).sum();
+    let mut parts = parts.into_iter().map(|chunk| chunk.matched);
+    let mut merged = parts.next().unwrap_or_default();
+    merged.reserve_exact(total - merged.len());
+    for part in parts {
+        merged.extend(part);
+    }
+    if obs.is_enabled() {
+        // each worker frees a chunk's scratch before its next chunk: at
+        // most one per worker is live, bounded by the largest
+        let live = threads.min(chunks.len()) as u64;
+        obs.snapshot_footprint(
+            "tile_scratch",
+            Footprint::new(scratch.bytes * live, scratch.elements * live),
+        );
+    }
+    if sharded {
+        for (s, (runs, &(matched, elapsed))) in blocked.per_shard.iter().zip(&per_shard).enumerate()
+        {
+            obs.shard_stat(ShardStat {
+                shard: s,
+                keys: blocked.keys_per_shard[s] as u64,
+                pairs: runs.iter().map(Vec::len).sum::<usize>() as u64,
+                matched,
+                duration_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
+            });
+        }
+        if let Some(t0) = merge_t0 {
+            obs.timeline_task(0, EventKind::Merge, per_shard.len() as u64, None, t0);
+        }
+        let sort_t0 = obs.timeline_start();
+        merged.sort_unstable_by_key(|m| (m.0, m.1));
+        if let Some(t0) = sort_t0 {
+            obs.timeline_task(0, EventKind::Sort, merged.len() as u64, None, t0);
+        }
+    }
+    sample_match_scores(&merged, obs);
+    merged
 }
 
 /// Record every matched pair's `agg_sim` into the pair-score histogram
 /// (in basis points), batched through one local histogram so the hot
 /// path takes the collector lock once.
-pub(crate) fn sample_match_scores(matched: &[(u32, u32, f64)], obs: &Collector) {
+fn sample_match_scores(matched: &[(u32, u32, f64)], obs: &Collector) {
     if obs.is_enabled() {
         let mut hist = obs::Histogram::new();
         for &(_, _, s) in matched {
@@ -844,9 +676,10 @@ pub fn prematch(
 /// `old_profiles[i]` must be `sim.compile(old[i])` — same specs, same
 /// order — and likewise for the new side. Pair/prune counters and
 /// per-thread chunk timings are reported to `obs` (pass
-/// [`Collector::disabled`] when not tracing); `mem` caps the similarity
-/// tables (pass [`MemGovernor::unlimited`] when not budgeting — the
-/// fallback is score-identical either way).
+/// [`Collector::disabled`] when not tracing); `mem` is the budget the
+/// build's pair-score cache is gated by (pass [`MemGovernor::unlimited`]
+/// when not budgeting — a build at its own threshold is never refused,
+/// so the result is the same either way).
 #[allow(clippy::too_many_arguments)] // prematch's inputs plus the profile slices
 #[must_use]
 pub fn prematch_with_profiles(
@@ -878,82 +711,6 @@ pub fn prematch_with_profiles(
     .expect("a build at its own fallback is never refused");
     scored.report_prematch(obs);
     PreMatch::from_csr(scored.into_pairs(), new.len())
-}
-
-/// The candidate pairs of one blocking pass, in the shape the engine
-/// that scores them needs. This is the one place the sharded engine is
-/// chosen: with `par.shards > 1` under Standard blocking (only Standard
-/// has blocking keys to shard by) pairs are generated per owning key and
-/// scored with shard-local similarity tables; otherwise they form one
-/// flat sorted list. Both shapes hold the same deduplicated pair set and
-/// score to bit-identical matches (see `crate::shard`).
-pub(crate) enum Blocked {
-    /// Sorted, deduplicated `(old_idx, new_idx)` pairs.
-    Flat(Vec<(u32, u32)>),
-    /// Pairs partitioned by owning shard.
-    Sharded(ShardedPairs),
-}
-
-impl Blocked {
-    /// Block `old × new`, dropping pairs whose ages are implausible under
-    /// `max_age_gap` before they are deduplicated (`None` keeps every
-    /// blocked pair).
-    pub(crate) fn generate(
-        old: &[&PersonRecord],
-        new: &[&PersonRecord],
-        year_gap: i64,
-        strategy: BlockingStrategy,
-        par: Parallelism,
-        max_age_gap: Option<u32>,
-        obs: &Collector,
-    ) -> Self {
-        if par.shards > 1 && strategy == BlockingStrategy::Standard {
-            Self::Sharded(sharded_candidate_pairs(
-                old,
-                new,
-                year_gap,
-                par,
-                max_age_gap,
-                obs,
-            ))
-        } else {
-            Self::Flat(candidate_pairs_filtered(
-                old,
-                new,
-                year_gap,
-                strategy,
-                par.threads,
-                max_age_gap,
-            ))
-        }
-    }
-
-    /// Number of candidate pairs.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Self::Flat(pairs) => pairs.len(),
-            Self::Sharded(sharded) => sharded.total,
-        }
-    }
-
-    /// Score every pair at `sim`'s threshold: `(old_idx, new_idx,
-    /// agg_sim)` of the matches, sorted by `(old, new)`.
-    pub(crate) fn score(
-        &self,
-        old_profiles: &[&CompiledProfile],
-        new_profiles: &[&CompiledProfile],
-        sim: &SimFunc,
-        par: Parallelism,
-        mem: &MemGovernor,
-        obs: &Collector,
-    ) -> Vec<(u32, u32, f64)> {
-        match self {
-            Self::Flat(pairs) => score_pairs(pairs, old_profiles, new_profiles, sim, par, mem, obs),
-            Self::Sharded(sharded) => {
-                sharded_scores(sharded, old_profiles, new_profiles, sim, par, mem, obs)
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -53,8 +53,8 @@ pub fn match_remaining(
 /// than its build — see [`PairScoreCache::covers`]), scoring is skipped
 /// entirely and the residue pairs are served from the cached scores;
 /// otherwise the pass builds a cache of its own over the residue, at
-/// the remainder function's threshold and age filter, with `mem`
-/// capping its similarity tables. Pair counters are reported to `obs`
+/// the remainder function's threshold and age filter, under `mem`'s
+/// pair-cache gate. Pair counters are reported to `obs`
 /// (pass [`Collector::disabled`] when not tracing).
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 1's inputs
 pub fn match_remaining_cached(

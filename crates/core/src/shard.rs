@@ -1,39 +1,31 @@
-//! Sharded candidate-pair generation and scoring.
+//! The shard plan of pre-matching, and the pool that runs its tasks.
 //!
-//! The linkage pipeline partitions its work by *blocking key*: a
+//! Blocking partitions the candidate space by *blocking key*: a
 //! [`ShardPlan`] assigns every packed `u64` key to one of K shards with
-//! size-balanced (LPT greedy) assignment, each shard generates and
-//! scores its pairs independently — with its own similarity tables and
-//! scratch — on a work-stealing pool, and a deterministic merge phase
-//! re-establishes the global order regardless of shard completion order.
+//! size-balanced (LPT greedy) assignment, and [`crate::blocking`] emits
+//! each shard's pairs as sorted runs ([`ShardedPairs`]). `K = 1` is a
+//! one-shard plan, not a separate engine: the plan, the generation
+//! tasks and the scorer are the same for every shard and thread count,
+//! which change only how the work is cut into tasks for
+//! [`run_sharded`].
 //!
-//! # Why the merged result is bit-identical to the unsharded engine
+//! # Why the merged result is bit-identical for every plan
 //!
 //! A candidate pair can be proposed by several blocking keys that land
-//! in different shards. Each shard therefore keeps a generated pair only
-//! when the pair's *owner* key — the highest-priority key the two
-//! records collide on, a pure function of the records (see
-//! [`crate::blocking`]) — is the bucket key it was generated from. That
-//! makes the per-shard pair sets pairwise disjoint and their union
-//! exactly the deduplicated unsharded candidate set. Scoring is
-//! memoisation-transparent (`CompiledValue::similarity` is
-//! deterministic), and the merge concatenates per-shard results and
-//! sorts them into the unsharded engine's `(old, new)` order, so every
-//! downstream phase sees byte-for-byte the input it would have seen with
-//! one shard — for any shard count, thread count and completion order.
+//! in different shards. A generation task keeps a pair only when the
+//! pair's *owner* key — the highest-priority key the two records collide
+//! on, a pure function of the records (see [`crate::blocking`]) — is the
+//! bucket key it was generated from. That makes the per-shard pair sets
+//! pairwise disjoint and their union exactly the candidate set. Scoring
+//! reads one set of interned values and is deterministic, and the
+//! scorer sorts the concatenated per-shard matches into `(old, new)`
+//! order when there is more than one shard, so every downstream phase
+//! sees byte-for-byte the same input — for any shard count, thread count
+//! and completion order.
 
-use crate::blocking::{append_keys, owner_key, KeyFields};
-use crate::config::Parallelism;
-use crate::mem::MemGovernor;
-use crate::prematch::{
-    note_budget_rejected, sample_match_scores, score_shard, BatchStats, ShardScore,
-};
-use crate::simfunc::{CompiledProfile, SimFunc};
-use census_model::PersonRecord;
-use obs::{Collector, EventKind, Footprint, ShardStat};
+use obs::Collector;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -100,6 +92,12 @@ impl ShardPlan {
         &self.loads
     }
 
+    /// Sum of all key weights: the pairs the buckets propose before the
+    /// ownership and age filters.
+    pub(crate) fn total_weight(&self) -> u64 {
+        self.total_weight
+    }
+
     /// The LPT guarantee: no shard's load exceeds this bound.
     pub(crate) fn balance_bound(&self) -> u64 {
         self.total_weight / self.loads.len() as u64 + self.max_weight
@@ -109,253 +107,46 @@ impl ShardPlan {
 /// Candidate pairs partitioned by owning shard, plus the totals the
 /// driver reports before scoring starts.
 pub(crate) struct ShardedPairs {
-    /// Per-shard pairs in global `(old_idx, new_idx)` indices, each
-    /// shard sorted and deduplicated.
-    pub per_shard: Vec<Vec<(u32, u32)>>,
+    /// Per shard, its pairs in global `(old_idx, new_idx)` indices as
+    /// sorted runs over ascending old-position ranges: concatenated in
+    /// order, a shard's runs are sorted and duplicate-free.
+    pub per_shard: Vec<Vec<Vec<(u32, u32)>>>,
     /// Blocking keys assigned to each shard.
     pub keys_per_shard: Vec<usize>,
-    /// Total pairs across shards (= the unsharded deduplicated count).
+    /// Total pairs across shards.
     pub total: usize,
     /// Predicted pair-weight load per shard from the LPT plan — the
     /// baseline the timeline's plan-quality ratio measures against.
     pub plan_loads: Vec<u64>,
 }
 
-/// Generate candidate pairs partitioned into `par.shards` shards.
-///
-/// The union of the per-shard sets equals
-/// `candidate_pairs_filtered(old, new, year_gap, Standard, …)` and the
-/// sets are pairwise disjoint — every pair appears exactly once, in the
-/// shard that owns its highest-priority colliding key. Pass
-/// `max_age_gap: None` to reproduce the unfiltered `candidate_pairs`
-/// output.
-pub(crate) fn sharded_candidate_pairs(
-    old: &[&PersonRecord],
-    new: &[&PersonRecord],
-    year_gap: i64,
-    par: Parallelism,
-    max_age_gap: Option<u32>,
-    obs: &Collector,
-) -> ShardedPairs {
-    let shards = par.shards.max(1);
-    let old_kf: Vec<KeyFields> = old.iter().map(|r| KeyFields::of(r)).collect();
-    let new_kf: Vec<KeyFields> = new.iter().map(|r| KeyFields::of(r)).collect();
-    let mut buckets: HashMap<u64, (Vec<u32>, Vec<u32>)> = HashMap::new();
-    let mut scratch = Vec::with_capacity(6);
-    for (i, &kf) in old_kf.iter().enumerate() {
-        scratch.clear();
-        append_keys(kf, year_gap, true, &mut scratch);
-        for &k in &scratch {
-            buckets.entry(k).or_default().0.push(i as u32);
-        }
-    }
-    for (j, &kf) in new_kf.iter().enumerate() {
-        scratch.clear();
-        append_keys(kf, 0, false, &mut scratch);
-        for &k in &scratch {
-            buckets.entry(k).or_default().1.push(j as u32);
-        }
-    }
-    let weights: Vec<(u64, u64)> = buckets
-        .iter()
-        .map(|(&k, (os, ns))| (k, os.len() as u64 * ns.len() as u64))
-        .collect();
-    let plan = ShardPlan::build(&weights, shards);
-    debug_assert!(plan.loads().iter().all(|&l| l <= plan.balance_bound()));
-
-    // truth telemetry: attribute each true record pair to the shard that
-    // owns its blocking key. The collector keeps the first map of the
-    // run (the δ-schedule's full-population prematch); later replans
-    // over residues are ignored, so the check avoids recomputing them.
-    if obs.truth_enabled() && obs.truth_shard_map().is_none() {
-        if let Some(tc) = obs.truth_config() {
-            let old_at: HashMap<u64, usize> =
-                old.iter().enumerate().map(|(i, r)| (r.id.raw(), i)).collect();
-            let new_at: HashMap<u64, usize> =
-                new.iter().enumerate().map(|(j, r)| (r.id.raw(), j)).collect();
-            let mut map = Vec::new();
-            for &(o, n) in &tc.record_pairs {
-                let (Some(&i), Some(&j)) = (old_at.get(&o), new_at.get(&n)) else {
-                    continue;
-                };
-                if let Some(s) =
-                    owner_key(old_kf[i], new_kf[j], year_gap).and_then(|k| plan.shard_of(k))
-                {
-                    map.push((o, n, s));
-                }
-            }
-            obs.truth_shard_map_set(map);
+impl ShardedPairs {
+    pub(crate) fn new(
+        per_shard: Vec<Vec<Vec<(u32, u32)>>>,
+        keys_per_shard: Vec<usize>,
+        plan_loads: Vec<u64>,
+    ) -> Self {
+        let total = per_shard.iter().flatten().map(Vec::len).sum();
+        Self {
+            per_shard,
+            keys_per_shard,
+            total,
+            plan_loads,
         }
     }
 
-    // per-shard key lists, in key order (deterministic regardless of the
-    // bucket map's iteration order)
-    let mut shard_keys: Vec<Vec<u64>> = vec![Vec::new(); plan.shards()];
-    for &(k, s) in &plan.assignment {
-        shard_keys[s as usize].push(k);
-    }
-
-    let gen_one = |s: usize, _worker: usize| -> Vec<(u32, u32)> {
-        let mut out: Vec<(u32, u32)> = Vec::new();
-        for &k in &shard_keys[s] {
-            let (os, ns) = &buckets[&k];
-            for &o in os {
-                for &n in ns {
-                    // the shard owning a pair's owner key keeps it (fast
-                    // path: the generating key usually is the owner); the
-                    // age filter then drops implausible pairs before they
-                    // reach the sort
-                    let owned = owner_key(old_kf[o as usize], new_kf[n as usize], year_gap)
-                        .is_some_and(|ok| ok == k || plan.shard_of(ok) == Some(s));
-                    if owned
-                        && max_age_gap.is_none_or(|tol| {
-                            crate::prematch::age_plausible(
-                                old[o as usize],
-                                new[n as usize],
-                                year_gap,
-                                tol,
-                            )
-                        })
-                    {
-                        out.push((o, n));
-                    }
-                }
-            }
+    /// Every pair, sorted by `(old, new)`.
+    pub(crate) fn into_sorted(self) -> Vec<(u32, u32)> {
+        let shards = self.per_shard.len();
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(self.total);
+        for run in self.per_shard.into_iter().flatten() {
+            pairs.extend(run);
         }
-        // duplicates remain when several of the shard's own keys propose
-        // the same pair — dedup mirrors the unsharded engine's global
-        // dedup, shard-locally
-        out.sort_unstable();
-        out.dedup();
-        out
-    };
-    let per_shard = run_sharded(plan.shards(), par.threads, obs, gen_one);
-    let keys_per_shard = shard_keys.iter().map(Vec::len).collect();
-    let total = per_shard.iter().map(Vec::len).sum();
-    ShardedPairs {
-        per_shard,
-        keys_per_shard,
-        total,
-        plan_loads: plan.loads().to_vec(),
-    }
-}
-
-/// Score sharded candidate pairs and merge into the unsharded engine's
-/// output: `(old_idx, new_idx, agg_sim)` sorted by `(old, new)`.
-///
-/// Each shard scores on the work-stealing pool with its own
-/// shard-local similarity tables, sized so that the memory budget is
-/// split across the tables that can be live concurrently. Per-shard
-/// telemetry (keys, pairs, matches, table bytes, wall time) is recorded
-/// as [`ShardStat`] rows; counter totals equal the unsharded engine's.
-pub(crate) fn sharded_scores(
-    sharded: &ShardedPairs,
-    old_profiles: &[&CompiledProfile],
-    new_profiles: &[&CompiledProfile],
-    sim: &SimFunc,
-    par: Parallelism,
-    mem: &MemGovernor,
-    obs: &Collector,
-) -> Vec<(u32, u32, f64)> {
-    if sharded.total == 0 {
-        return Vec::new();
-    }
-    // first plan of the run wins: this registers the headline prematch
-    // plan the timeline's plan-quality ratio is judged against
-    obs.timeline_plan(&sharded.plan_loads);
-    let n_specs = old_profiles
-        .first()
-        .or(new_profiles.first())
-        .map_or(0, |p| p.values().len());
-    let nonempty = sharded.per_shard.iter().filter(|p| !p.is_empty()).count();
-    let concurrent = par.threads.max(1).min(nonempty.max(1));
-    // divide the budget across every table that can be live at once:
-    // n_specs tables per shard × concurrently-running shards
-    let max_cells = mem.sim_table_max_cells(n_specs * concurrent);
-
-    let score_one = |s: usize, worker: usize| -> (ShardScore, u64, usize) {
-        let t0 = obs.timeline_start();
-        let start = Instant::now();
-        let score = score_shard(
-            &sharded.per_shard[s],
-            old_profiles,
-            new_profiles,
-            sim,
-            max_cells,
-        );
-        let duration_us = obs_us(start.elapsed());
-        if let Some(t0) = t0 {
-            obs.timeline_task(worker, EventKind::Shard, s as u64, None, t0);
+        if shards > 1 {
+            pairs.sort_unstable();
         }
-        (score, duration_us, worker)
-    };
-    let results = run_sharded(sharded.per_shard.len(), par.threads, obs, score_one);
-
-    // deterministic merge: fold telemetry in shard order, then sort the
-    // concatenated matches into the unsharded (old, new) order; the
-    // driver thread reports the merge and sort as worker-0 events
-    let merge_t0 = obs.timeline_start();
-    let total = results.iter().map(|(score, ..)| score.matched.len()).sum();
-    let mut merged: Vec<(u32, u32, f64)> = Vec::with_capacity(total);
-    let mut stats = BatchStats::default();
-    let mut budget_rejected = 0u64;
-    let mut fp = Footprint::ZERO;
-    let mut arena_fp = Footprint::ZERO;
-    let mut scratch_fp = Footprint::ZERO;
-    for (s, (score, duration_us, worker)) in results.into_iter().enumerate() {
-        obs.shard_stat(ShardStat {
-            shard: s,
-            keys: sharded.keys_per_shard[s] as u64,
-            pairs: sharded.per_shard[s].len() as u64,
-            matched: score.matched.len() as u64,
-            sim_table_bytes: score.tables.bytes,
-            sim_table_cells: score.tables.elements,
-            duration_us,
-        });
-        obs.thread_chunk(
-            "prematch",
-            None,
-            s,
-            worker,
-            sharded.per_shard[s].len(),
-            std::time::Duration::from_micros(duration_us),
-        );
-        stats.merge(&score.stats);
-        budget_rejected += score.budget_rejected;
-        fp = fp.plus(score.tables);
-        arena_fp = arena_fp.plus(score.arenas);
-        if score.scratch.bytes > scratch_fp.bytes {
-            scratch_fp = score.scratch;
-        }
-        merged.extend(score.matched);
+        pairs
     }
-    if let Some(t0) = merge_t0 {
-        obs.timeline_task(0, EventKind::Merge, merged.len() as u64, None, t0);
-    }
-    let sort_t0 = obs.timeline_start();
-    merged.sort_unstable_by_key(|m| (m.0, m.1));
-    if let Some(t0) = sort_t0 {
-        obs.timeline_task(0, EventKind::Sort, merged.len() as u64, None, t0);
-    }
-    stats.report(obs);
-    note_budget_rejected(obs, budget_rejected, max_cells);
-    if obs.is_enabled() {
-        obs.snapshot_footprint("sim_tables", fp);
-        obs.snapshot_footprint("value_arenas", arena_fp);
-        // each worker frees a shard's scratch before its next shard: at
-        // most `concurrent` are live, bounded by the largest one each
-        let live = concurrent as u64;
-        obs.snapshot_footprint(
-            "tile_scratch",
-            Footprint::new(scratch_fp.bytes * live, scratch_fp.elements * live),
-        );
-    }
-    sample_match_scores(&merged, obs);
-    merged
-}
-
-fn obs_us(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Run `n` shard tasks on a work-stealing pool of at most `threads`
@@ -421,7 +212,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocking::{candidate_pairs_filtered, BlockingStrategy};
+    use crate::blocking::{block_pairs, BlockingStrategy};
+    use crate::config::Parallelism;
+    use census_model::PersonRecord;
     use census_synth::{generate_series, SimConfig};
     use proptest::prelude::*;
 
@@ -440,46 +233,25 @@ mod tests {
     }
 
     #[test]
-    fn union_of_shards_equals_unsharded_filtered_pairs() {
-        let (old, new) = snapshot_pair();
-        let o: Vec<&PersonRecord> = old.records().iter().collect();
-        let n: Vec<&PersonRecord> = new.records().iter().collect();
-        let gap = i64::from(new.year - old.year);
-        for max_age_gap in [None, Some(3)] {
-            let reference =
-                candidate_pairs_filtered(&o, &n, gap, BlockingStrategy::Standard, 1, max_age_gap);
-            for shards in [1, 2, 7, 64, 10_000] {
-                let sharded = sharded_candidate_pairs(
-                    &o,
-                    &n,
-                    gap,
-                    par(shards),
-                    max_age_gap,
-                    &Collector::disabled(),
-                );
-                assert_eq!(sharded.per_shard.len(), shards);
-                assert_eq!(sharded.total, reference.len(), "{shards} shards");
-                let mut union: Vec<(u32, u32)> =
-                    sharded.per_shard.iter().flatten().copied().collect();
-                union.sort_unstable();
-                // disjointness: the concatenation has no duplicates
-                let len_before = union.len();
-                union.dedup();
-                assert_eq!(union.len(), len_before, "{shards} shards overlap");
-                assert_eq!(union, reference, "{shards} shards");
-            }
-        }
-    }
-
-    #[test]
     fn more_shards_than_keys_leaves_trailing_shards_empty() {
         let (old, new) = snapshot_pair();
         let o: Vec<&PersonRecord> = old.records().iter().collect();
         let n: Vec<&PersonRecord> = new.records().iter().collect();
         let gap = i64::from(new.year - old.year);
-        let sharded =
-            sharded_candidate_pairs(&o, &n, gap, par(10_000), Some(3), &Collector::disabled());
-        let empty = sharded.per_shard.iter().filter(|p| p.is_empty()).count();
+        let sharded = block_pairs(
+            &o,
+            &n,
+            gap,
+            BlockingStrategy::Standard,
+            par(10_000),
+            Some(3),
+            &Collector::disabled(),
+        );
+        let empty = sharded
+            .per_shard
+            .iter()
+            .filter(|runs| runs.iter().all(Vec::is_empty))
+            .count();
         assert!(empty > 0, "expected empty shards with 10k shards");
         assert!(sharded.total > 0);
     }

@@ -1,5 +1,5 @@
 //! Differential suite: the attribute-at-a-time batch scoring kernel —
-//! the pre-matching scorer on the serial, parallel and sharded paths —
+//! the one pre-matching scorer, for every thread and shard count —
 //! must reproduce the per-pair oracle `SimFunc::matches_compiled`
 //! **bit for bit**: over the blocked, age-filtered candidate pairs,
 //! `prematch_with_profiles`' match pairs equal `{pair → s :
@@ -11,10 +11,10 @@
 //! kernel compacts its per-tile selection vector at the oracle loop's
 //! own bound check (`SimFunc::bound_fails_after`) and folds survivors
 //! through `SimFunc::fold_survivor` — and differ only in *when and
-//! where* per-attribute similarities are materialised (deduped column
-//! work items streamed through `textsim::MultisetArena`, memoised in
-//! similarity tables or deduped tile-locally, instead of one
-//! `CompiledValue` merge per pair and attribute).
+//! where* per-attribute similarities are materialised (column work
+//! items deduped tile-locally and streamed through
+//! `textsim::MultisetArena`, instead of one `CompiledValue` merge per
+//! pair and attribute).
 
 mod common;
 
@@ -25,14 +25,10 @@ use linkage_core::{
     MemGovernor, Parallelism, SimFunc,
 };
 use obs::{Collector, Counter};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// The pipeline's pre-matching age tolerance (paper footnote 2).
 const MAX_AGE_GAP: u32 = 3;
-
-/// `SimTable::MAX_CELLS`, the similarity tables' locality cap: a spec
-/// with more than √cap distinct values is scored without a table.
-const SIM_TABLE_MAX_CELLS: usize = 1 << 21;
 
 /// Exact match pairs keyed by record ids, scores as raw bits.
 type Matches = HashMap<(RecordId, RecordId), u64>;
@@ -181,30 +177,13 @@ fn batch_equals_oracle_across_the_matrix() {
     }
 }
 
-/// The medium corpus has attributes whose value universe outgrows the
-/// similarity tables' locality cap, so the serial kernel mixes
-/// table-served columns with tile-local dedup — a path the small corpus
-/// never reaches.
+/// The medium corpus spans many scoring tiles and wider value
+/// universes than the small one, in one task.
 #[test]
 fn batch_equals_oracle_on_the_medium_corpus() {
     let series = medium_pair_series();
     let corpus = Corpus::new(&series.snapshots[0], &series.snapshots[1]);
     let sim = SimFunc::omega2(0.5);
-    let (op, np) = corpus.profiles(&sim);
-    let widest = (0..sim.specs().len())
-        .map(|k| {
-            op.iter()
-                .chain(&np)
-                .map(|p| p.values()[k].raw().to_owned())
-                .collect::<HashSet<_>>()
-                .len()
-        })
-        .max()
-        .unwrap_or(0);
-    assert!(
-        widest * widest > SIM_TABLE_MAX_CELLS,
-        "no attribute crosses the table cap ({widest} distinct values at most)"
-    );
     let par = Parallelism {
         threads: 1,
         shards: 1,

@@ -1,5 +1,5 @@
 //! Shared generate→link→compare scaffolding for the differential
-//! suites (`incremental_vs_recompute`, `mem_budget`,
+//! suites (`floor_cache_vs_zero_budget`, `mem_budget`,
 //! `sharded_vs_single`).
 //!
 //! Each suite pits two driver configurations against each other on the

@@ -61,6 +61,19 @@ fn trace_has_all_pipeline_phases_and_consistent_times() {
         let sum: u64 = it.phases.iter().map(|p| p.total_us).sum();
         assert!(sum <= it.total_us, "iteration {} over-counts", it.index);
     }
+
+    // pair generation is named by a `blocking` span nested inside the
+    // pre-matching work, so it is not a phase of its own
+    let blocking: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "blocking")
+        .collect();
+    assert!(!blocking.is_empty(), "no blocking span in the trace");
+    for s in &blocking {
+        assert_eq!(s.parent.as_deref(), Some("prematch"), "{}", s.path);
+    }
+    assert!(trace.phase("blocking").is_none());
 }
 
 #[test]

@@ -23,19 +23,19 @@ use crate::report::RunTrace;
 pub struct CounterDelta {
     /// Counter name.
     pub name: String,
-    /// Value in the old trace (0 when absent).
-    pub old: u64,
-    /// Value in the new trace (0 when absent).
-    pub new: u64,
+    /// Value in the old trace (`None` when absent).
+    pub old: Option<u64>,
+    /// Value in the new trace (`None` when absent).
+    pub new: Option<u64>,
 }
 
 impl CounterDelta {
     /// Relative change in percent, against `max(old, 1)` so a zero
-    /// baseline cannot divide by zero.
+    /// baseline cannot divide by zero; an absent side counts as 0.
     #[must_use]
     pub fn pct_change(&self) -> f64 {
-        let old = self.old.max(1) as f64;
-        (self.new as f64 - self.old as f64) / old * 100.0
+        let (old, new) = (self.old.unwrap_or(0), self.new.unwrap_or(0));
+        (new as f64 - old as f64) / old.max(1) as f64 * 100.0
     }
 }
 
@@ -184,7 +184,7 @@ fn union_names<'a>(
 }
 
 /// Compare two traces into a [`DiffReport`]. Names present in only one
-/// trace appear with 0 / empty on the missing side.
+/// trace appear with `None` (counters) or 0 / empty on the missing side.
 #[must_use]
 pub fn compare(old: &RunTrace, new: &RunTrace) -> DiffReport {
     let counters = union_names(
@@ -192,10 +192,13 @@ pub fn compare(old: &RunTrace, new: &RunTrace) -> DiffReport {
         new.counters.iter().map(|c| c.name.as_str()),
     )
     .into_iter()
-    .map(|name| CounterDelta {
-        old: old.counter(&name),
-        new: new.counter(&name),
-        name,
+    .map(|name| {
+        let value = |t: &RunTrace| t.counters.iter().find(|c| c.name == name).map(|c| c.value);
+        CounterDelta {
+            old: value(old),
+            new: value(new),
+            name,
+        }
     })
     .collect();
 
@@ -313,7 +316,9 @@ impl DiffReport {
     /// they never repeat exactly.
     #[must_use]
     pub fn is_identical(&self) -> bool {
-        self.counters.iter().all(|c| c.old == c.new)
+        self.counters
+            .iter()
+            .all(|c| c.old.unwrap_or(0) == c.new.unwrap_or(0))
             && self
                 .histograms
                 .iter()
@@ -333,12 +338,14 @@ impl DiffReport {
         if !self.counters.is_empty() {
             out.push_str("\ncounters\n");
             for c in &self.counters {
+                let shown =
+                    |v: Option<u64>| v.map_or_else(|| "absent".to_owned(), |v| v.to_string());
                 let marker = if c.old == c.new { ' ' } else { '*' };
                 out.push_str(&format!(
                     "{marker} {:<28} {:>12} -> {:>12}  ({:+.1}%)\n",
                     c.name,
-                    c.old,
-                    c.new,
+                    shown(c.old),
+                    shown(c.new),
                     c.pct_change()
                 ));
             }
@@ -468,13 +475,18 @@ impl DiffReport {
                             message: format!("counter '{name}' not present in either trace"),
                         }),
                         Some(c) => {
+                            // a counter only one build tracks (added or
+                            // retired in between) is "absent", not a
+                            // failure
+                            let (Some(old), Some(new)) = (c.old, c.new) else {
+                                continue;
+                            };
                             let pct = c.pct_change().abs();
                             if pct > *max_pct {
                                 violations.push(Violation {
                                     spec: t.spec(),
                                     message: format!(
-                                        "counter '{name}' changed {pct:.1}% ({} -> {}), limit {max_pct}%",
-                                        c.old, c.new
+                                        "counter '{name}' changed {pct:.1}% ({old} -> {new}), limit {max_pct}%"
                                     ),
                                 });
                             }
@@ -934,7 +946,12 @@ mod tests {
             .iter()
             .find(|c| c.name == "brand_new_counter")
             .unwrap();
-        assert_eq!((added.old, added.new), (0, 7));
+        assert_eq!((added.old, added.new), (None, Some(7)));
+        // a gate on a counter only one side tracks is absent, not failed
+        assert!(report
+            .check(&[Threshold::parse("counter:brand_new_counter:1%").unwrap()])
+            .is_empty());
+        assert!(report.render().contains("absent"));
         let hist = &report.histograms[0];
         assert_eq!(hist.l1, 2.0);
         assert_eq!(hist.new_count, 0);

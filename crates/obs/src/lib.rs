@@ -137,9 +137,6 @@ pub enum Counter {
     /// Unique `(old value-id, new value-id)` items the batch kernel
     /// actually computed — `1 − unique/probes` is the dedup win.
     PairScoreBatchedUnique,
-    /// Memory-budget fallbacks: `SimTable`s skipped in favour of direct
-    /// similarity computation.
-    MemFallbackSimTable,
     /// Memory-budget fallbacks: pair-score caches skipped in favour of
     /// per-iteration recomputation.
     MemFallbackPairCache,
@@ -165,8 +162,13 @@ pub enum Counter {
 }
 
 impl Counter {
+    /// Names of counters earlier builds wrote and this one no longer
+    /// tracks: traces carrying them still validate, and `trace-diff`
+    /// reports gates on them as absent.
+    pub const RETIRED: [&'static str; 1] = ["mem_fallback_sim_table"];
+
     /// Every counter, in report order.
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 25] = [
         Counter::PrematchPairsScored,
         Counter::PrematchPairsMatched,
         Counter::EarlyExitPrunes,
@@ -183,7 +185,6 @@ impl Counter {
         Counter::BlockingPairsGenerated,
         Counter::PairScoreBatchProbes,
         Counter::PairScoreBatchedUnique,
-        Counter::MemFallbackSimTable,
         Counter::MemFallbackPairCache,
         Counter::MemFallbackDecisionCaps,
         Counter::EvolutionPreserveR,
@@ -215,7 +216,6 @@ impl Counter {
             Counter::BlockingPairsGenerated => "blocking_pairs_generated",
             Counter::PairScoreBatchProbes => "pair_score_batch_probes",
             Counter::PairScoreBatchedUnique => "pair_score_batched_unique",
-            Counter::MemFallbackSimTable => "mem_fallback_sim_table",
             Counter::MemFallbackPairCache => "mem_fallback_pair_cache",
             Counter::MemFallbackDecisionCaps => "mem_fallback_decision_caps",
             Counter::EvolutionPreserveR => "evolution_preserve_r",
@@ -1559,8 +1559,6 @@ mod tests {
             keys: 1,
             pairs,
             matched: 0,
-            sim_table_bytes: 0,
-            sim_table_cells: 0,
             duration_us: 1,
         };
         // a second pass over the same plan reports the same shard ids

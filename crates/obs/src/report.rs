@@ -133,8 +133,8 @@ pub struct TraceEvent {
     pub detail: String,
 }
 
-/// Per-shard telemetry of one sharded scoring pass: how much work the
-/// shard owned and what its shard-local similarity tables cost. Rows are
+/// Per-shard telemetry of one scoring pass over a plan of several
+/// shards: how much work the shard owned and how long it took. Rows are
 /// recorded from worker threads in completion order and sorted by shard
 /// id at [`crate::Collector::finish`], so traces are identical for any
 /// completion order.
@@ -148,10 +148,6 @@ pub struct ShardStat {
     pub pairs: u64,
     /// Pairs at or above the pre-matching threshold.
     pub matched: u64,
-    /// Heap bytes of the shard's similarity tables.
-    pub sim_table_bytes: u64,
-    /// Total cells of the shard's similarity tables.
-    pub sim_table_cells: u64,
     /// Wall time spent scoring the shard, in microseconds.
     pub duration_us: u64,
 }
@@ -449,7 +445,9 @@ impl RunTrace {
             }
         }
         for c in &self.counters {
-            if !Counter::ALL.iter().any(|k| k.name() == c.name) {
+            if !Counter::ALL.iter().any(|k| k.name() == c.name)
+                && !Counter::RETIRED.contains(&c.name.as_str())
+            {
                 return Err(format!("trace has unknown counter {:?}", c.name));
             }
         }
@@ -768,18 +766,17 @@ impl RunTrace {
             let _ = writeln!(out, "\nshards:");
             let _ = writeln!(
                 out,
-                "  {:<6} {:>8} {:>12} {:>10} {:>10} {:>10}",
-                "shard", "keys", "pairs", "matched", "tables", "time"
+                "  {:<6} {:>8} {:>12} {:>10} {:>10}",
+                "shard", "keys", "pairs", "matched", "time"
             );
             for s in &self.shards {
                 let _ = writeln!(
                     out,
-                    "  {:<6} {:>8} {:>12} {:>10} {:>10} {:>10}",
+                    "  {:<6} {:>8} {:>12} {:>10} {:>10}",
                     s.shard,
                     s.keys,
                     s.pairs,
                     s.matched,
-                    fmt_bytes(s.sim_table_bytes),
                     fmt_us(s.duration_us)
                 );
             }
@@ -830,17 +827,12 @@ impl RunTrace {
                 for s in &tl.stragglers {
                     let _ = writeln!(
                         out,
-                        "    shard {:<5} worker {:<3} {:>10}  {} pairs, {} keys, {}",
+                        "    shard {:<5} worker {:<3} {:>10}  {} pairs, {} keys",
                         s.shard,
                         s.worker,
                         fmt_us(s.duration_us),
                         s.pairs,
-                        s.keys,
-                        if s.sim_table_cells > 0 {
-                            format!("SimTable {}", fmt_bytes(s.sim_table_bytes))
-                        } else {
-                            "direct compute".to_owned()
-                        }
+                        s.keys
                     );
                 }
             }
@@ -1178,6 +1170,13 @@ mod tests {
         let err = t.validate_basic().unwrap_err();
         assert!(err.contains("unknown counter"), "{err}");
         assert!(err.contains("not_a_real_counter"), "{err}");
+        // a counter an earlier build wrote still validates
+        t.counters.pop();
+        t.counters.push(CounterValue {
+            name: Counter::RETIRED[0].into(),
+            value: 0,
+        });
+        t.validate_basic().unwrap();
     }
 
     #[test]
@@ -1288,8 +1287,6 @@ mod tests {
             keys: 4,
             pairs,
             matched,
-            sim_table_bytes: 1024,
-            sim_table_cells: 64,
             duration_us: 7,
         }
     }

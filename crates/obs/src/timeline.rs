@@ -334,11 +334,6 @@ pub struct Straggler {
     pub pairs: u64,
     /// Blocking keys the shard owned.
     pub keys: u64,
-    /// Similarity-table cells the shard allocated — `0` means the shard
-    /// scored every pair by direct computation (no memoisation).
-    pub sim_table_cells: u64,
-    /// Similarity-table bytes the shard allocated.
-    pub sim_table_bytes: u64,
 }
 
 /// How well the LPT plan's predicted per-shard loads anticipated the
@@ -478,8 +473,6 @@ impl Timeline {
                     duration_us: e.duration_us,
                     pairs: stat.map_or(0, |s| s.pairs),
                     keys: stat.map_or(0, |s| s.keys),
-                    sim_table_cells: stat.map_or(0, |s| s.sim_table_cells),
-                    sim_table_bytes: stat.map_or(0, |s| s.sim_table_bytes),
                 }
             })
             .collect();
@@ -695,8 +688,6 @@ mod tests {
                 keys: 4,
                 pairs: 100,
                 matched: 10,
-                sim_table_bytes: 64,
-                sim_table_cells: 8,
                 duration_us: 50,
             },
             ShardStat {
@@ -704,8 +695,6 @@ mod tests {
                 keys: 2,
                 pairs: 900,
                 matched: 90,
-                sim_table_bytes: 0,
-                sim_table_cells: 0,
                 duration_us: 400,
             },
         ];
@@ -717,9 +706,9 @@ mod tests {
         assert_eq!(tl.stragglers.len(), 2);
         assert_eq!(tl.stragglers[0].shard, 1);
         assert_eq!(tl.stragglers[0].pairs, 900);
-        assert_eq!(tl.stragglers[0].sim_table_cells, 0); // direct compute
+        assert_eq!(tl.stragglers[0].keys, 2);
         assert_eq!(tl.stragglers[1].shard, 0);
-        assert_eq!(tl.stragglers[1].sim_table_cells, 8); // memoized
+        assert_eq!(tl.stragglers[1].keys, 4);
         let pq = tl.plan_quality.as_ref().expect("plan recorded");
         // predicted skew 900/500 = 1.8; actual 400/225 ≈ 1.78
         assert!((pq.predicted_skew - 1.8).abs() < 1e-9);

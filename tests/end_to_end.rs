@@ -182,10 +182,10 @@ fn truth_patterns_versus_found_patterns_agree_in_shape() {
 
 #[test]
 fn thread_count_does_not_change_results() {
-    // pair scoring is chunked across workers, sharded by blocking key or
-    // run serially with similarity tables; joins and shard merges are
-    // ordered, so the mappings and the per-link provenance must be
-    // bit-identical in every mode
+    // one pre-matching pipeline runs as one task or is cut into several
+    // (by thread count, shard count and cutoff); joins and shard merges
+    // are ordered, so the mappings and the per-link provenance must be
+    // bit-identical however the tasks are cut
     let series = small_series(5);
     let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
     let run = |threads: usize, shards: usize, parallel_cutoff: usize| {
@@ -207,8 +207,8 @@ fn thread_count_does_not_change_results() {
         x.groups.iter().collect::<std::collections::BTreeSet<_>>()
     };
     for threads in [2, 8] {
-        // shards 0 resolves to at least the thread count: the sharded
-        // engine; cutoff 0 forces the parallel kernel on every pass
+        // shards 0 resolves to at least the thread count: a plan of
+        // several shards; cutoff 0 fans out every pass into tasks
         for shards in [1, 0] {
             for cutoff in [default_cutoff, 0] {
                 let mode = format!("{threads} threads, shards {shards}, cutoff {cutoff}");
@@ -227,9 +227,8 @@ fn thread_count_does_not_change_results() {
 #[test]
 fn driver_and_budget_modes_do_not_change_results() {
     // a zero memory budget refuses the floor pair-score cache at every
-    // residue (and every similarity table), so each δ step is scored by
-    // a cache built at that δ: it must reproduce the default run
-    // exactly. An ω1 remainder function has specs no pre-matching cache
+    // residue, so each δ step is scored by a cache built at that δ: it
+    // must reproduce the default run exactly. An ω1 remainder function has specs no pre-matching cache
     // holds, so the remainder blocks and scores its residue itself; run
     // under the per-δ caches and a sharded plan it must reproduce the
     // same remainder over the unsharded floor cache
@@ -409,8 +408,8 @@ fn sparse_record_ids_link_like_dense_ones() {
 #[test]
 fn prematch_matches_the_per_pair_oracle() {
     // the batch kernel behind `prematch` must reproduce the per-pair
-    // early-exit scorer bit for bit, serially (with similarity tables)
-    // and in parallel (with tile-local dedup)
+    // early-exit scorer bit for bit, as one scoring task and cut into
+    // several
     use temporal_census_linkage::linkage::{
         candidate_pairs, prematch, BlockingStrategy, DEFAULT_PARALLEL_CUTOFF,
     };
@@ -458,6 +457,36 @@ fn prematch_matches_the_per_pair_oracle() {
             .collect();
         assert_eq!(got.len(), oracle.len(), "match count at {threads} threads");
         assert!(got == oracle, "pair scores diverged at {threads} threads");
+    }
+}
+
+#[test]
+fn blocking_output_is_the_same_at_every_thread_count() {
+    // blocking cuts pair generation into at least `threads` tasks; the
+    // candidate pairs must come back identical and strictly ascending
+    use temporal_census_linkage::linkage::{candidate_pairs_par, BlockingStrategy};
+    let series = small_series(3);
+    let (old, new) = (&series.snapshots[0], &series.snapshots[1]);
+    let old_recs: Vec<&PersonRecord> = old.records().iter().collect();
+    let new_recs: Vec<&PersonRecord> = new.records().iter().collect();
+    let year_gap = i64::from(new.year - old.year);
+    let block = |threads| {
+        candidate_pairs_par(
+            &old_recs,
+            &new_recs,
+            year_gap,
+            BlockingStrategy::Standard,
+            threads,
+        )
+    };
+    let reference = block(1);
+    assert!(!reference.is_empty());
+    assert!(
+        reference.windows(2).all(|w| w[0] < w[1]),
+        "pairs not strictly ascending"
+    );
+    for threads in [2, 3, 8] {
+        assert_eq!(block(threads), reference, "{threads} threads");
     }
 }
 
